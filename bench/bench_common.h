@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/dodg.h"
 #include "graph/exact.h"
 #include "graph/graph.h"
 #include "stream/driver.h"
@@ -166,10 +165,6 @@ class ExperimentContext {
       : flags_(flags), manifest_(experiment_id) {
     int threads = ConfigureThreads(flags);
     checkpointing_ = ConfigureCheckpointing(flags, &threads);
-    // Every driver's exact ground truth (and the audit path) goes through
-    // CountTriangles/CountFourCycles, so installing the backend here makes
-    // --exact_backend=dodg work across all experiment binaries at once.
-    ApplyExactBackendFlag(flags);
     manifest_.SetThreads(threads);
     json_out_ = flags.GetString("json_out", "");
     json_det_out_ = flags.GetString("json_det_out", "");

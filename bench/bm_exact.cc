@@ -71,7 +71,7 @@ void SetEdgeItems(benchmark::State& state, const EdgeList& graph) {
 void BM_NaiveTrianglesSmall(benchmark::State& state) {
   const Graph g(SmallBa());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CountTriangles(g));
+    benchmark::DoNotOptimize(NaiveCountTriangles(g));
   }
   SetEdgeItems(state, SmallBa());
 }
@@ -80,7 +80,7 @@ BENCHMARK(BM_NaiveTrianglesSmall);
 void BM_NaiveFourCyclesSmall(benchmark::State& state) {
   const Graph g(SmallEr());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CountFourCycles(g));
+    benchmark::DoNotOptimize(NaiveCountFourCycles(g));
   }
   SetEdgeItems(state, SmallEr());
 }
@@ -109,7 +109,7 @@ BENCHMARK(BM_DodgFourCyclesSmall);
 void BM_NaiveTrianglesBig(benchmark::State& state) {
   const Graph g(BigBa());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CountTriangles(g));
+    benchmark::DoNotOptimize(NaiveCountTriangles(g));
   }
   SetEdgeItems(state, BigBa());
 }
@@ -118,7 +118,7 @@ BENCHMARK(BM_NaiveTrianglesBig)->Unit(benchmark::kMillisecond)->Iterations(1);
 void BM_NaiveFourCyclesBig(benchmark::State& state) {
   const Graph g(BigBa());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CountFourCycles(g));
+    benchmark::DoNotOptimize(NaiveCountFourCycles(g));
   }
   SetEdgeItems(state, BigBa());
 }

@@ -117,6 +117,25 @@ std::string_view QueryKindTarget(QueryKind kind) {
   }
 }
 
+bool NeedsTGuess(QueryKind kind) {
+  switch (kind) {
+    case QueryKind::kRandomOrderTriangles:
+    case QueryKind::kCormodeJowhari:
+    case QueryKind::kArbThreePass:
+    case QueryKind::kBeraChakrabarti:
+    case QueryKind::kAdjDiamond:
+    case QueryKind::kAdjF2:
+    case QueryKind::kAdjL2:
+      return true;
+    case QueryKind::kTriest:
+    case QueryKind::kArbF2:
+    case QueryKind::kTurnstileF2Triangle:
+    case QueryKind::kTurnstileF2C4:
+      return false;
+  }
+  return true;
+}
+
 bool ValidateSpecWindowing(const QuerySpec& spec, std::string* error) {
   auto fail = [&](std::string message) {
     if (error != nullptr) {

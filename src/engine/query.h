@@ -66,6 +66,12 @@ bool IsShardMergeableKind(QueryKind kind);
 /// "triangles" or "c4" — what the estimate approximates.
 std::string_view QueryKindTarget(QueryKind kind);
 
+/// True for kinds whose estimator reads `base.t_guess` (the T-up-to-a-
+/// constant assumption of the paper's algorithms). False for arb-f2,
+/// triest, and the turnstile kinds: their estimates are identical at any
+/// t_guess, so front ends never need the exact oracle to run them.
+bool NeedsTGuess(QueryKind kind);
+
 /// One registered query: which estimator, its parameters, its seed, and the
 /// word budget it declares to the admission layer. The spec is a pure value
 /// — constructing the same spec twice yields algorithms with bit-identical

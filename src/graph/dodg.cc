@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
-#include <string>
 
 #include "graph/dodg_kernels.h"
 #include "graph/intersect.h"
 #include "util/check.h"
-#include "util/flags.h"
 #include "util/parallel.h"
 
 namespace cyclestream {
@@ -33,7 +31,6 @@ std::uint64_t AndPopcountScalar(const std::uint64_t* a, const std::uint64_t* b,
 
 namespace {
 
-ExactBackend g_exact_backend = ExactBackend::kNaive;
 ExactSimdMode g_simd_mode = ExactSimdMode::kAuto;
 
 struct KernelTable {
@@ -341,29 +338,6 @@ std::uint64_t DodgGraph::CountFourCycles() const {
         return sum;
       });
   return std::accumulate(partial.begin(), partial.end(), std::uint64_t{0});
-}
-
-void SetExactBackend(ExactBackend backend) { g_exact_backend = backend; }
-
-ExactBackend GetExactBackend() { return g_exact_backend; }
-
-std::optional<ExactBackend> ParseExactBackend(std::string_view name) {
-  if (name == "naive") return ExactBackend::kNaive;
-  if (name == "dodg") return ExactBackend::kDodg;
-  return std::nullopt;
-}
-
-const char* ExactBackendName(ExactBackend backend) {
-  return backend == ExactBackend::kDodg ? "dodg" : "naive";
-}
-
-ExactBackend ApplyExactBackendFlag(FlagParser& flags) {
-  const std::string name = flags.GetString("exact_backend", "naive");
-  const std::optional<ExactBackend> parsed = ParseExactBackend(name);
-  CHECK(parsed.has_value()) << "unknown --exact_backend '" << name
-                            << "' (expected naive or dodg)";
-  SetExactBackend(*parsed);
-  return *parsed;
 }
 
 void SetExactSimdMode(ExactSimdMode mode) { g_simd_mode = mode; }

@@ -3,9 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,14 +12,13 @@
 
 namespace cyclestream {
 
-class FlagParser;
-
 /// High-throughput exact counting on a Degree-Oriented Directed Graph.
 ///
-/// The naive oracles in graph/exact.h are the correctness reference but cap
-/// experiment scale at ~10 M edges/s (triangles) and ~2.7 M/s (4-cycles).
-/// DodgGraph is the production backend for exact ground truth at 100 M+
-/// edges (DESIGN.md §12):
+/// DodgGraph is the only production exact counter: CountTriangles /
+/// CountFourCycles in graph/exact.h build one, so every caller of exact
+/// ground truth runs it. The naive oracles there (NaiveCountTriangles /
+/// NaiveCountFourCycles) cap out at ~10 M edges/s (triangles) and ~2.7 M/s
+/// (4-cycles) and stay only as the test reference (DESIGN.md §12):
 ///
 ///   1. the raw edge array is sorted in place in parallel (chunk sort +
 ///      pairwise merge rounds on the util/parallel pool),
@@ -126,29 +123,6 @@ class DodgGraph {
   std::vector<std::uint64_t> hub_bits_;  // H rows of ceil(H/64) words.
   std::size_t hub_words_ = 0;            // Words per hub bitmap row.
 };
-
-/// Process-wide backend selector for the exact counters. CountTriangles /
-/// CountFourCycles (graph/exact.h) consult this, so every experiment
-/// driver, the CLI, and the engine's exact-reference path switch together
-/// via one `--exact_backend={naive,dodg}` flag.
-enum class ExactBackend {
-  kNaive,  // The reference oracles in graph/exact.cc (default).
-  kDodg,   // The DODG/SIMD backend above.
-};
-
-/// Sets / reads the process-wide backend. Like SetDefaultThreads: call once
-/// at startup, before counting work is in flight.
-void SetExactBackend(ExactBackend backend);
-ExactBackend GetExactBackend();
-
-/// "naive" / "dodg" — nullopt for anything else.
-std::optional<ExactBackend> ParseExactBackend(std::string_view name);
-const char* ExactBackendName(ExactBackend backend);
-
-/// Reads `--exact_backend` (default naive) and installs it process-wide;
-/// aborts with a clear message on an unknown value. Every experiment
-/// binary calls this from its shared context, the CLI from Main.
-ExactBackend ApplyExactBackendFlag(FlagParser& flags);
 
 /// Runtime SIMD-dispatch control. kAuto picks AVX2 when both the build and
 /// the CPU support it; kScalar forces the portable kernels (the CI

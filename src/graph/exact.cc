@@ -29,10 +29,11 @@ inline std::uint64_t Choose2(std::uint64_t x) { return x * (x - 1) / 2; }
 }  // namespace
 
 std::uint64_t CountTriangles(const Graph& g) {
-  if (GetExactBackend() == ExactBackend::kDodg) {
-    return DodgGraph::Build(g.edges().data(), g.num_edges(), g.num_vertices())
-        .CountTriangles();
-  }
+  return DodgGraph::Build(g.edges().data(), g.num_edges(), g.num_vertices())
+      .CountTriangles();
+}
+
+std::uint64_t NaiveCountTriangles(const Graph& g) {
   const VertexId n = g.num_vertices();
   RankOrder before{&g};
   // Oriented adjacency: out[v] = higher-ranked neighbors of v, sorted by id.
@@ -50,11 +51,8 @@ std::uint64_t CountTriangles(const Graph& g) {
   for (const Edge& e : g.edges()) {
     const VertexId lo = before(e.u, e.v) ? e.u : e.v;
     const VertexId hi = lo == e.u ? e.v : e.u;
-    // Triangles where this edge's two companions are both higher-ranked than
-    // `lo`: intersect out[lo] with out[hi]; each triangle is counted exactly
-    // once, at its lowest-ranked vertex's two outgoing edges... more simply,
-    // intersecting out-lists over all edges counts each triangle once at the
-    // edge joining its two lowest-ranked vertices.
+    // Intersecting out-lists over all edges counts each triangle once, at
+    // the edge joining its two lowest-ranked vertices.
     const auto& a = out[lo];
     const auto& b = out[hi];
     std::size_t i = 0, j = 0;
@@ -171,10 +169,11 @@ std::uint64_t CountFourCyclesFromWedges(const WedgeVector& x) {
 }
 
 std::uint64_t CountFourCycles(const Graph& g) {
-  if (GetExactBackend() == ExactBackend::kDodg) {
-    return DodgGraph::Build(g.edges().data(), g.num_edges(), g.num_vertices())
-        .CountFourCycles();
-  }
+  return DodgGraph::Build(g.edges().data(), g.num_edges(), g.num_vertices())
+      .CountFourCycles();
+}
+
+std::uint64_t NaiveCountFourCycles(const Graph& g) {
   return CountFourCyclesFromWedges(ComputeWedgeVector(g));
 }
 

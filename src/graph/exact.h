@@ -17,8 +17,14 @@ namespace cyclestream {
 /// (§4.2), a (u,v)-diamond of size h is K_{2,h} between {u,v} and their h
 /// common neighbors and contains C(h,2) 4-cycles (§4.1).
 
-/// Number of triangles, via the forward algorithm (O(m^{3/2})).
+/// Number of triangles. Builds a DodgGraph (graph/dodg.h) from g's edges;
+/// callers needing both counts of one graph should build it once instead.
 std::uint64_t CountTriangles(const Graph& g);
+
+/// The naive triangle oracle: the forward algorithm (O(m^{3/2})) over
+/// degree-ranked adjacency lists. The test reference for DodgGraph; not a
+/// production path.
+std::uint64_t NaiveCountTriangles(const Graph& g);
 
 /// t_e for each edge (indexed like g.edges()): the number of triangles
 /// containing that edge, i.e. |Γ(u) ∩ Γ(v)|.
@@ -44,9 +50,14 @@ double Transitivity(const Graph& g);
 using WedgeVector = FlatMap64<std::uint32_t>;
 WedgeVector ComputeWedgeVector(const Graph& g);
 
-/// Number of 4-cycles: C4 = ½ Σ_{u<v} C(x_{uv}, 2). (Each 4-cycle is counted
-/// once per diagonal pair, and it has two diagonals.)
+/// Number of 4-cycles, through a DodgGraph like CountTriangles.
 std::uint64_t CountFourCycles(const Graph& g);
+
+/// The naive 4-cycle oracle: C4 = ½ Σ_{u<v} C(x_{uv}, 2) over the wedge
+/// vector (each 4-cycle is counted once per diagonal pair, and it has two
+/// diagonals). The test reference for DodgGraph; not a production path —
+/// the wedge map holds one entry per pair with a common neighbor.
+std::uint64_t NaiveCountFourCycles(const Graph& g);
 
 /// Same, but from a precomputed wedge vector (avoids recomputation when both
 /// the count and the vector are needed).

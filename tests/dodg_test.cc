@@ -1,8 +1,11 @@
-// Property tests for the DODG exact backend (graph/dodg.h): on ~50 seeded
-// graph families — structured, random, power-law, adversarial lower-bound
-// gadgets, dirty inputs — the DODG triangle and 4-cycle counts must equal
-// the naive oracles bit for bit, across {scalar, auto-SIMD} kernels ×
-// {1, 8} threads × {default, tiny} hub range. The tiny hub range forces the
+// Property tests for the DODG exact counter (graph/dodg.h), the only
+// production exact path: on ~60 seeded graph families — structured, random,
+// power-law, adversarial lower-bound gadgets, degenerate and subsampled
+// graphs, dirty inputs — the DODG triangle and 4-cycle counts, and the
+// CountTriangles/CountFourCycles entry points built on it, must equal the
+// naive oracles (NaiveCountTriangles / NaiveCountFourCycles) bit for bit,
+// across {scalar, auto-SIMD} kernels × {1, 8} threads × {default, tiny} hub
+// range. The tiny hub range forces the
 // sparse-tail intersection kernels even on small graphs; the default range
 // puts every vertex of a small graph on the dense bitmap path.
 
@@ -62,19 +65,20 @@ EdgeList PathGraph(VertexId n) {
 struct KnobGuard {
   ~KnobGuard() {
     SetExactSimdMode(ExactSimdMode::kAuto);
-    SetExactBackend(ExactBackend::kNaive);
     SetDefaultThreads(0);
   }
 };
 
-// The full determinism matrix for one graph: naive oracle once, then DODG
+// The full determinism matrix for one graph: naive oracle once, then the
+// public entry points every caller of exact ground truth uses, then DODG
 // under every combination of kernels, thread budget, and hub range.
 void ExpectBackendsAgree(const NamedGraph& g) {
-  SetExactBackend(ExactBackend::kNaive);
   SetDefaultThreads(1);
   const Graph reference(g.graph);
-  const std::uint64_t triangles = CountTriangles(reference);
-  const std::uint64_t four_cycles = CountFourCycles(reference);
+  const std::uint64_t triangles = NaiveCountTriangles(reference);
+  const std::uint64_t four_cycles = NaiveCountFourCycles(reference);
+  EXPECT_EQ(CountTriangles(reference), triangles) << g.name;
+  EXPECT_EQ(CountFourCycles(reference), four_cycles) << g.name;
 
   for (const ExactSimdMode mode :
        {ExactSimdMode::kScalar, ExactSimdMode::kAuto}) {
@@ -271,6 +275,45 @@ TEST(DodgPropertyTest, PlantedAndAdversarialFamilies) {
   RunFamilies(families);
 }
 
+// The degenerate shapes the oracle's callers produce beyond the structured
+// families above (which already hold n=0, isolated-only, and one edge):
+// the CLI's batches and the naive-sampling baselines' subsampled graphs,
+// which declare no n and let ids grow to cover the sample.
+TEST(DodgPropertyTest, DegenerateAndSubsampledFamilies) {
+  KnobGuard guard;
+  std::vector<NamedGraph> families;
+  families.push_back({"n=1,m=0", EdgeList(1)});
+  families.push_back({"isolated-only-1000", EdgeList(1000)});
+  {
+    EdgeList single(100);
+    single.Add(98, 99);
+    families.push_back({"single-edge-top-ids", std::move(single)});
+  }
+  {
+    // An edge and a K4 among the top ids of a mostly isolated graph: the
+    // relabel puts hundreds of degree-0 vertices after the hubs.
+    EdgeList sparse(1000);
+    sparse.Add(3, 500);
+    for (VertexId u = 996; u < 1000; ++u) {
+      for (VertexId v = u + 1; v < 1000; ++v) sparse.Add(u, v);
+    }
+    families.push_back({"mostly-isolated-k4", std::move(sparse)});
+  }
+  for (const double p : {0.02, 0.1, 0.3}) {
+    Rng rng(44);
+    const EdgeList ba = BarabasiAlbert(3000, 6, rng);
+    Rng coin(45);
+    EdgeList sample;
+    for (const Edge& e : ba.edges()) {
+      if (coin.UniformDouble() < p) sample.Add(e.u, e.v);
+    }
+    families.push_back(
+        {"ba-subsample-p" + std::to_string(p), std::move(sample)});
+  }
+  for (NamedGraph& g : families) g.graph.Finalize();
+  RunFamilies(families);
+}
+
 TEST(DodgPropertyTest, DirtyInputsMatchEdgeListCleanup) {
   KnobGuard guard;
   // Raw pairs with self-loops, duplicates (in both orientations), and ids
@@ -289,9 +332,8 @@ TEST(DodgPropertyTest, DirtyInputsMatchEdgeListCleanup) {
 
   const EdgeList cleaned = EdgeList::FromPairs(60, pairs);
   const Graph reference(cleaned);
-  SetExactBackend(ExactBackend::kNaive);
-  const std::uint64_t triangles = CountTriangles(reference);
-  const std::uint64_t four_cycles = CountFourCycles(reference);
+  const std::uint64_t triangles = NaiveCountTriangles(reference);
+  const std::uint64_t four_cycles = NaiveCountFourCycles(reference);
 
   const DodgGraph dodg = DodgGraph::FromPairs(60, pairs);
   EXPECT_EQ(dodg.num_vertices(), cleaned.num_vertices());
@@ -323,10 +365,9 @@ TEST(DodgPropertyTest, BinaryStreamWithDuplicatesFeedsBuildDirectly) {
   const DodgGraph dodg = DodgGraph::Build(
       reader.edges(), reader.num_edges(), reader.num_vertices());
   EXPECT_EQ(dodg.num_edges(), graph.num_edges());
-  SetExactBackend(ExactBackend::kNaive);
   const Graph reference(graph);
-  EXPECT_EQ(dodg.CountTriangles(), CountTriangles(reference));
-  EXPECT_EQ(dodg.CountFourCycles(), CountFourCycles(reference));
+  EXPECT_EQ(dodg.CountTriangles(), NaiveCountTriangles(reference));
+  EXPECT_EQ(dodg.CountFourCycles(), NaiveCountFourCycles(reference));
   std::remove(path.c_str());
 }
 
@@ -370,30 +411,19 @@ TEST(DodgTest, StructureInvariants) {
   }
 }
 
-TEST(DodgTest, BackendSelectorRoutesExactEntryPoints) {
+// The scale oracle check: BA n=50000, deg 6, seed 7 — the graph
+// `cyclestream_cli generate --model ba --n 50000 --deg 6 --seed 7` writes —
+// through the full kernel × thread × hub-range matrix against the naive
+// oracles. Kept apart from the property suite so a build can run it on its
+// own per ISA.
+TEST(DodgScaleTest, BarabasiAlbert50000MatchesNaiveOracle) {
   KnobGuard guard;
-  Rng rng(43);
-  const EdgeList graph = ErdosRenyiGnm(150, 900, rng);
-  const Graph g(graph);
-  SetExactBackend(ExactBackend::kNaive);
-  const std::uint64_t triangles = CountTriangles(g);
-  const std::uint64_t four_cycles = CountFourCycles(g);
-  ASSERT_GT(triangles, 0u);
-  ASSERT_GT(four_cycles, 0u);
-  // The same public entry points must return identical counts through the
-  // DODG backend — this is what every experiment driver relies on.
-  SetExactBackend(ExactBackend::kDodg);
-  EXPECT_EQ(CountTriangles(g), triangles);
-  EXPECT_EQ(CountFourCycles(g), four_cycles);
-}
-
-TEST(DodgTest, BackendParsingRoundTrips) {
-  EXPECT_EQ(ParseExactBackend("naive"), ExactBackend::kNaive);
-  EXPECT_EQ(ParseExactBackend("dodg"), ExactBackend::kDodg);
-  EXPECT_FALSE(ParseExactBackend("simd").has_value());
-  EXPECT_FALSE(ParseExactBackend("").has_value());
-  EXPECT_STREQ(ExactBackendName(ExactBackend::kNaive), "naive");
-  EXPECT_STREQ(ExactBackendName(ExactBackend::kDodg), "dodg");
+  Rng rng(7);
+  const NamedGraph ba{"ba-50000-6-s7", BarabasiAlbert(50000, 6, rng)};
+  const Graph g(ba.graph);
+  ASSERT_GT(CountTriangles(g), 0u);
+  ASSERT_GT(CountFourCycles(g), 0u);
+  ExpectBackendsAgree(ba);
 }
 
 TEST(DodgTest, KernelNameMatchesSimdMode) {

@@ -15,6 +15,7 @@
 #include "graph/graph.h"
 #include "gtest/gtest.h"
 #include "stream/driver.h"
+#include "stream/dynamic/turnstile.h"
 #include "stream/order.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
@@ -156,6 +157,50 @@ TEST(EngineTest, AdjacencyQueriesBitIdenticalToStandalone) {
       EXPECT_EQ(outcomes[i].estimate.value, standalone[i].value);
       EXPECT_EQ(outcomes[i].estimate.space_words, standalone[i].space_words);
     }
+  }
+}
+
+// NeedsTGuess is what lets the CLI skip the exact oracle: every kind it
+// calls T-ignoring must give the same estimate and space at any t_guess,
+// including the unset 0 the CLI leaves them.
+TEST(EngineTest, TIgnoringKindsAreIndependentOfTGuess) {
+  EXPECT_TRUE(NeedsTGuess(QueryKind::kRandomOrderTriangles));
+  EXPECT_TRUE(NeedsTGuess(QueryKind::kCormodeJowhari));
+  EXPECT_TRUE(NeedsTGuess(QueryKind::kArbThreePass));
+  EXPECT_TRUE(NeedsTGuess(QueryKind::kBeraChakrabarti));
+  EXPECT_TRUE(NeedsTGuess(QueryKind::kAdjDiamond));
+  EXPECT_TRUE(NeedsTGuess(QueryKind::kAdjF2));
+  EXPECT_TRUE(NeedsTGuess(QueryKind::kAdjL2));
+
+  EdgeList graph;
+  const EdgeStream stream = MixedSweepStream(&graph);
+  const TurnstileStream turnstile = TurnstileFromEdges(stream);
+  auto run = [&](QueryKind kind, double t_guess) {
+    EXPECT_FALSE(NeedsTGuess(kind)) << QueryKindName(kind);
+    QuerySpec spec;
+    spec.kind = kind;
+    spec.name = std::string(QueryKindName(kind));
+    spec.base.epsilon = 0.4;
+    spec.base.t_guess = t_guess;
+    spec.base.seed = 77;
+    spec.num_vertices = graph.num_vertices();
+    spec.reservoir_capacity = 500;
+    StreamBroker broker;
+    broker.AddQuery(spec);
+    const std::vector<QueryOutcome> outcomes =
+        IsTurnstileKind(kind) ? broker.RunTurnstileQueries(turnstile)
+                              : broker.RunEdgeQueries(stream);
+    return outcomes.at(0).estimate;
+  };
+  for (const QueryKind kind :
+       {QueryKind::kTriest, QueryKind::kArbF2, QueryKind::kTurnstileF2Triangle,
+        QueryKind::kTurnstileF2C4}) {
+    SCOPED_TRACE(std::string(QueryKindName(kind)));
+    const Estimate unset = run(kind, 0.0);
+    const Estimate huge = run(kind, 1e9);
+    EXPECT_EQ(unset.value, huge.value);
+    EXPECT_EQ(unset.space_words, huge.space_words);
+    EXPECT_GT(unset.space_words, 0u);
   }
 }
 

@@ -30,6 +30,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -82,8 +83,8 @@ int Usage() {
       "<stats|count|exact|generate|sweep|serve|shard> [flags]\n"
       "  stats    --graph FILE | --karate\n"
       "  exact    --graph FILE [--target triangles|c4|both]\n"
-      "           [--exact_backend naive|dodg] [--hub-range H]\n"
-      "           .bin graphs mmap straight into the DODG CSR build\n"
+      "           [--hub-range H]   .bin graphs mmap straight into the\n"
+      "           DODG CSR build\n"
       "  count    --graph FILE --target triangles|c4 [--algorithm NAME]\n"
       "           [--epsilon E] [--t-guess T] [--seed S] [--no-exact]\n"
       "           [--delta D]   amplify: median of ~2*ln(1/D) parallel copies\n"
@@ -93,6 +94,8 @@ int Usage() {
       "           [--order shuffled|file] [--epsilon E] [--t-guess T]\n"
       "           [--seed S] [--budget-words W] [--per-query-budget W]\n"
       "           [--aggregate-budget W] [--block-edges B] [--no-exact]\n"
+      "           --no-exact skips the exact oracle: kinds reading t_guess\n"
+      "           (not arb-f2, triest, turnstile-*) then need --t-guess\n"
       "           [--sketch_backend scalar|block] [--intra_threads N]\n"
       "           block backend batches sketch updates through the SIMD\n"
       "           kernels; N>1 splits each block across per-thread shards\n"
@@ -211,87 +214,58 @@ int RunStats(FlagParser& flags, RunManifest& manifest) {
   return 0;
 }
 
-// Exact-count front end: the scale path for ground truth. With the dodg
-// backend a .bin graph (tools/edge2bin) feeds the mmap'd edge array
-// straight into the DODG CSR build — no text parse, no EdgeList. Counts,
-// sizes, and the backend go into the deterministic manifest (identical
-// across ISAs and thread counts); kernel choice and timings stay on stderr
-// and in the timing section.
+// Exact-count front end: the scale path for ground truth. A .bin graph
+// (tools/edge2bin) feeds the mmap'd edge array straight into the DODG CSR
+// build — no text parse, no EdgeList. Counts and sizes go into the
+// deterministic manifest (identical across ISAs and thread counts); kernel
+// choice and timings stay on stderr and in the timing section.
 int RunExact(FlagParser& flags, RunManifest& manifest) {
   const std::string target = flags.GetString("target", "both");
   if (target != "triangles" && target != "c4" && target != "both") {
     std::cerr << "error: --target must be triangles, c4, or both\n";
     return Usage();
   }
-  const ExactBackend backend = GetExactBackend();
   const bool want_triangles = target != "c4";
   const bool want_c4 = target != "triangles";
 
-  VertexId num_vertices = 0;
-  std::size_t num_edges = 0;
-  std::uint64_t triangles = 0;
-  std::uint64_t four_cycles = 0;
-  double build_seconds = 0.0;
-  double count_seconds = 0.0;
-
-  if (backend == ExactBackend::kDodg) {
-    DodgGraph::Options options;
-    options.hub_range =
-        static_cast<VertexId>(flags.GetInt("hub-range", 0));
-    const std::string path = flags.GetString("graph", "");
-    Timer build_timer;
-    DodgGraph dodg;
-    if (flags.GetBool("karate", false)) {
-      dodg = DodgGraph::Build(KarateClub(), options);
-    } else if (path.empty()) {
-      std::cerr << "error: --graph FILE (or --karate) is required\n";
+  DodgGraph::Options options;
+  options.hub_range = static_cast<VertexId>(flags.GetInt("hub-range", 0));
+  const std::string path = flags.GetString("graph", "");
+  Timer build_timer;
+  DodgGraph dodg;
+  if (flags.GetBool("karate", false)) {
+    dodg = DodgGraph::Build(KarateClub(), options);
+  } else if (path.empty()) {
+    std::cerr << "error: --graph FILE (or --karate) is required\n";
+    return 1;
+  } else if (IsBinaryGraphPath(path)) {
+    BinaryEdgeReader reader;
+    std::string error;
+    if (!reader.Open(path, &error)) {
+      std::cerr << "error: " << error << "\n";
       return 1;
-    } else if (IsBinaryGraphPath(path)) {
-      BinaryEdgeReader reader;
-      std::string error;
-      if (!reader.Open(path, &error)) {
-        std::cerr << "error: " << error << "\n";
-        return 1;
-      }
-      dodg = DodgGraph::Build(reader.edges(), reader.num_edges(),
-                              reader.num_vertices(), options);
-    } else {
-      auto loaded = LoadEdgeListText(path);
-      if (!loaded) {
-        std::cerr << "error: cannot load " << path << "\n";
-        return 1;
-      }
-      dodg = DodgGraph::Build(*loaded, options);
     }
-    build_seconds = build_timer.Seconds();
-    std::cerr << "exact backend: dodg (kernels: " << ActiveExactKernels()
-              << ", hub range " << dodg.hub_range() << ")\n";
-    num_vertices = dodg.num_vertices();
-    num_edges = dodg.num_edges();
-    Timer count_timer;
-    if (want_triangles) triangles = dodg.CountTriangles();
-    if (want_c4) four_cycles = dodg.CountFourCycles();
-    count_seconds = count_timer.Seconds();
+    dodg = DodgGraph::Build(reader.edges(), reader.num_edges(),
+                            reader.num_vertices(), options);
   } else {
-    bool ok = false;
-    const EdgeList graph = LoadGraph(flags, &ok);
-    if (!ok) return 1;
-    Timer build_timer;
-    const Graph g(graph);
-    build_seconds = build_timer.Seconds();
-    std::cerr << "exact backend: naive\n";
-    num_vertices = g.num_vertices();
-    num_edges = g.num_edges();
-    Timer count_timer;
-    if (want_triangles) triangles = CountTriangles(g);
-    if (want_c4) four_cycles = CountFourCycles(g);
-    count_seconds = count_timer.Seconds();
+    auto loaded = LoadEdgeListText(path);
+    if (!loaded) {
+      std::cerr << "error: cannot load " << path << "\n";
+      return 1;
+    }
+    dodg = DodgGraph::Build(*loaded, options);
   }
+  const double build_seconds = build_timer.Seconds();
+  std::cerr << "exact: kernels " << ActiveExactKernels() << ", hub range "
+            << dodg.hub_range() << "\n";
+  Timer count_timer;
+  const std::uint64_t triangles = want_triangles ? dodg.CountTriangles() : 0;
+  const std::uint64_t four_cycles = want_c4 ? dodg.CountFourCycles() : 0;
+  const double count_seconds = count_timer.Seconds();
 
   Table t({"statistic", "value"});
-  t.AddRow({"backend", ExactBackendName(backend)});
-  t.AddRow({"vertices", Table::Int(num_vertices)});
-  t.AddRow({"edges", Table::Int(static_cast<std::int64_t>(num_edges))});
+  t.AddRow({"vertices", Table::Int(dodg.num_vertices())});
+  t.AddRow({"edges", Table::Int(static_cast<std::int64_t>(dodg.num_edges()))});
   if (want_triangles) {
     t.AddRow({"triangles", Table::Int(static_cast<std::int64_t>(triangles))});
   }
@@ -303,9 +277,9 @@ int RunExact(FlagParser& flags, RunManifest& manifest) {
   std::cerr << "build " << build_seconds << "s, count " << count_seconds
             << "s\n";
   manifest.AddTable("exact", t);
-  manifest.metrics().SetInt("graph.vertices", num_vertices);
+  manifest.metrics().SetInt("graph.vertices", dodg.num_vertices());
   manifest.metrics().SetInt("graph.edges",
-                            static_cast<std::int64_t>(num_edges));
+                            static_cast<std::int64_t>(dodg.num_edges()));
   if (want_triangles) {
     manifest.metrics().SetInt("exact.triangles",
                               static_cast<std::int64_t>(triangles));
@@ -317,6 +291,20 @@ int RunExact(FlagParser& flags, RunManifest& manifest) {
   manifest.metrics().SetTiming("exact.build_seconds", build_seconds);
   manifest.metrics().SetTiming("exact.count_seconds", count_seconds);
   return 0;
+}
+
+// `count`'s algorithm names as engine kinds, for engine::NeedsTGuess.
+// `wedge` has no engine kind and reads no t_guess.
+bool CountAlgorithmNeedsTGuess(const std::string& algo) {
+  using engine::QueryKind;
+  static const std::map<std::string, QueryKind> kKinds = {
+      {"random-order", QueryKind::kRandomOrderTriangles},
+      {"triest", QueryKind::kTriest}, {"cj", QueryKind::kCormodeJowhari},
+      {"diamonds", QueryKind::kAdjDiamond}, {"f2", QueryKind::kAdjF2},
+      {"l2", QueryKind::kAdjL2}, {"three-pass", QueryKind::kArbThreePass},
+      {"arb-f2", QueryKind::kArbF2}, {"bc", QueryKind::kBeraChakrabarti}};
+  const auto it = kKinds.find(algo);
+  return it != kKinds.end() && engine::NeedsTGuess(it->second);
 }
 
 int RunCount(FlagParser& flags, RunManifest& manifest) {
@@ -334,8 +322,19 @@ int RunCount(FlagParser& flags, RunManifest& manifest) {
   // stream with its own derived seed.
   const double delta = flags.GetDouble("delta", 0.0);
 
+  // The oracle runs once, and only when its answer is used: as the
+  // `exact` algorithm itself, as the printed reference, or as the default
+  // t_guess of an algorithm that reads one.
+  const bool default_t_guess =
+      CountAlgorithmNeedsTGuess(algo) && flags.GetDouble("t-guess", 0) <= 0;
+  if (default_t_guess && !show_exact) {
+    std::cerr << "error: --algorithm " << algo
+              << " reads t_guess, and --no-exact skips the exact count "
+                 "that defaults it; pass --t-guess T\n";
+    return 1;
+  }
   double exact = -1.0;
-  if (show_exact || flags.GetDouble("t-guess", 0) <= 0) {
+  if (algo == "exact" || show_exact || default_t_guess) {
     exact = target == "triangles"
                 ? static_cast<double>(CountTriangles(g))
                 : static_cast<double>(CountFourCycles(g));
@@ -360,9 +359,7 @@ int RunCount(FlagParser& flags, RunManifest& manifest) {
   AdjacencyStream adj_stream;
   const VertexId num_vertices = g.num_vertices();
   if (algo == "exact") {
-    est.value = target == "triangles"
-                    ? static_cast<double>(CountTriangles(g))
-                    : static_cast<double>(CountFourCycles(g));
+    est.value = exact;
     est.space_words = 2 * g.num_edges();
     passes = 0;
   } else if (target == "triangles") {
@@ -543,29 +540,83 @@ bool LoadBatchGraph(FlagParser& flags, BinaryEdgeReader* reader,
   return true;
 }
 
-// Exact counts computed lazily per target: the default t_guess, and the
-// reference for the printed relative errors.
+// Exact counts on request: the default t_guess of the kinds that read one
+// (engine::NeedsTGuess), and the reference for the printed relative errors.
+// The first request builds one DodgGraph straight from the batch's edge
+// array and both targets count from it; a batch that never asks (say
+// --no-exact over T-ignoring kinds) never runs the oracle at all.
 class ExactCache {
  public:
-  explicit ExactCache(const Graph& g) : g_(g) {}
+  ExactCache(std::span<const Edge> edges, VertexId num_vertices)
+      : edges_(edges), num_vertices_(num_vertices) {}
 
   double For(engine::QueryKind kind) {
-    if (engine::QueryKindTarget(kind) == "triangles") {
-      if (triangles_ < 0) triangles_ = static_cast<double>(CountTriangles(g_));
-      return triangles_;
+    const bool triangles = engine::QueryKindTarget(kind) == "triangles";
+    double& count = triangles ? triangles_ : c4_;
+    if (count >= 0) return count;
+    if (!dodg_) {
+      Timer build_timer;
+      dodg_ = DodgGraph::Build(edges_.data(), edges_.size(), num_vertices_);
+      build_seconds_ = build_timer.Seconds();
     }
-    if (c4_ < 0) c4_ = static_cast<double>(CountFourCycles(g_));
-    return c4_;
+    Timer count_timer;
+    count = static_cast<double>(triangles ? dodg_->CountTriangles()
+                                          : dodg_->CountFourCycles());
+    count_seconds_ += count_timer.Seconds();
+    return count;
   }
 
-  double triangles() const { return triangles_; }
-  double c4() const { return c4_; }
+  // Exports the counts when shown and, whenever the oracle ran, its build
+  // and count seconds (timing section, outside the deterministic payload).
+  void Export(bool show_exact, RunManifest& manifest) const {
+    MetricsRegistry& m = manifest.metrics();
+    if (show_exact && triangles_ >= 0) m.Set("exact.triangles", triangles_);
+    if (show_exact && c4_ >= 0) m.Set("exact.c4", c4_);
+    if (dodg_) {
+      m.SetTiming("exact.build_seconds", build_seconds_);
+      m.SetTiming("exact.count_seconds", count_seconds_);
+    }
+  }
 
  private:
-  const Graph& g_;
+  std::span<const Edge> edges_;
+  VertexId num_vertices_;
+  std::optional<DodgGraph> dodg_;
   double triangles_ = -1.0;
   double c4_ = -1.0;
+  double build_seconds_ = 0.0;
+  double count_seconds_ = 0.0;
 };
+
+// The t_guess contract shared by every engine front end: a kind that reads
+// t_guess and leaves it unset (<= 1) gets the exact count of its target,
+// so under --no-exact it must set one. Checked before the graph loads.
+bool CheckTGuessContract(const std::vector<engine::QuerySpec>& specs,
+                         bool show_exact) {
+  for (const engine::QuerySpec& spec : specs) {
+    if (!show_exact && engine::NeedsTGuess(spec.kind) &&
+        spec.base.t_guess <= 1.0) {
+      std::cerr << "error: query '" << spec.name << "' ("
+                << engine::QueryKindName(spec.kind)
+                << ") reads t_guess, and --no-exact skips the exact count "
+                   "that defaults it; pass --t-guess T or t_guess=T\n";
+      return false;
+    }
+  }
+  return true;
+}
+
+// Fills the spec defaults: n from the stream, and t_guess from the exact
+// count for the kinds that read it.
+void FillSpecDefaults(VertexId num_vertices, ExactCache& exact,
+                      std::vector<engine::QuerySpec>& specs) {
+  for (engine::QuerySpec& spec : specs) {
+    if (spec.num_vertices == 0) spec.num_vertices = num_vertices;
+    if (engine::NeedsTGuess(spec.kind) && spec.base.t_guess <= 1.0) {
+      spec.base.t_guess = std::max(1.0, exact.For(spec.kind));
+    }
+  }
+}
 
 // The shared tail of every engine front end (`sweep`, `serve`, `shard`):
 // the per-query outcome table plus the manifest export. Identical printing
@@ -602,12 +653,7 @@ void PrintEngineOutcomes(const std::vector<engine::QueryOutcome>& outcomes,
   t.Print(std::cout);
   manifest.AddTable("engine", t);
   engine::ExportToManifest(outcomes, stats, manifest);
-  if (show_exact && exact.triangles() >= 0) {
-    manifest.metrics().Set("exact.triangles", exact.triangles());
-  }
-  if (show_exact && exact.c4() >= 0) {
-    manifest.metrics().Set("exact.c4", exact.c4());
-  }
+  exact.Export(show_exact, manifest);
 }
 
 // Which of the three stream families a kind consumes (one batch = one
@@ -625,15 +671,12 @@ int StreamFamily(engine::QueryKind kind) {
 // handling. Ground truth is the *live* graph after every update (LiveEdges),
 // which is what the estimates approximate.
 int RunTurnstileBatch(FlagParser& flags, RunManifest& manifest,
-                      std::vector<engine::QuerySpec> specs) {
+                      std::vector<engine::QuerySpec> specs, bool show_exact,
+                      engine::StreamBroker& broker) {
   const std::string path = flags.GetString("graph", "");
   const bool karate = flags.GetBool("karate", false);
   const std::uint64_t seed = flags.GetCount("seed", 1);
   const std::string order = flags.GetString("order", "shuffled");
-  if (order != "shuffled" && order != "file") {
-    std::cerr << "error: --order must be shuffled or file\n";
-    return 1;
-  }
 
   TurnstileStream stream;
   VertexId stream_vertices = 0;
@@ -671,29 +714,13 @@ int RunTurnstileBatch(FlagParser& flags, RunManifest& manifest,
   manifest.metrics().SetInt("stream.updates",
                             static_cast<std::int64_t>(stream.size()));
 
-  const std::vector<Edge> live = LiveEdges(stream);
-  EdgeList live_list(stream_vertices);
-  for (const Edge& e : live) live_list.Add(e.u, e.v);
-  live_list.Finalize();
-  const Graph g(live_list);
-  const bool show_exact = !flags.GetBool("no-exact", false);
-  ExactCache exact(g);
-
-  engine::BrokerOptions options;
-  options.block_size =
-      static_cast<std::size_t>(flags.GetCount("block-edges", 4096));
-  options.budget.per_query_words =
-      static_cast<std::size_t>(flags.GetCount("per-query-budget", 0));
-  options.budget.aggregate_words =
-      static_cast<std::size_t>(flags.GetCount("aggregate-budget", 0));
-  engine::StreamBroker broker(options);
-  for (engine::QuerySpec& spec : specs) {
-    if (spec.num_vertices == 0) spec.num_vertices = stream_vertices;
-    if (spec.base.t_guess <= 1.0) {
-      spec.base.t_guess = std::max(1.0, exact.For(spec.kind));
-    }
-    broker.AddQuery(spec);
-  }
+  // Only the oracle reads the live graph, and turnstile kinds read no
+  // t_guess, so a --no-exact batch skips both.
+  const std::vector<Edge> live =
+      show_exact ? LiveEdges(stream) : std::vector<Edge>();
+  ExactCache exact(live, stream_vertices);
+  FillSpecDefaults(stream_vertices, exact, specs);
+  for (const engine::QuerySpec& spec : specs) broker.AddQuery(spec);
 
   const std::vector<engine::QueryOutcome> outcomes =
       broker.RunTurnstileQueries(stream);
@@ -703,9 +730,9 @@ int RunTurnstileBatch(FlagParser& flags, RunManifest& manifest,
 
 // Shared engine-batch driver behind `sweep` and `serve`: loads the graph
 // (text, .bin, or karate), fills spec defaults (n, t_guess from the exact
-// count of each query's target), builds the stream of the batch's family,
-// runs the broker, and prints/exports per-query outcomes. Everything
-// printed and exported is deterministic at any --threads.
+// count for the kinds that read one), builds the stream of the batch's
+// family, runs the broker, and prints/exports per-query outcomes.
+// Everything printed and exported is deterministic at any --threads.
 int RunEngineBatch(FlagParser& flags, RunManifest& manifest,
                    std::vector<engine::QuerySpec> specs) {
   if (specs.empty()) {
@@ -721,8 +748,25 @@ int RunEngineBatch(FlagParser& flags, RunManifest& manifest,
       return 1;
     }
   }
-  if (family == 2) return RunTurnstileBatch(flags, manifest, std::move(specs));
-  const bool edge_family = family == 0;
+  const bool show_exact = !flags.GetBool("no-exact", false);
+  if (!CheckTGuessContract(specs, show_exact)) return 1;
+  const std::string order = flags.GetString("order", "shuffled");
+  if (order != "shuffled" && order != "file") {
+    std::cerr << "error: --order must be shuffled or file\n";
+    return 1;
+  }
+  engine::BrokerOptions options;
+  options.block_size =
+      static_cast<std::size_t>(flags.GetCount("block-edges", 4096));
+  options.budget.per_query_words =
+      static_cast<std::size_t>(flags.GetCount("per-query-budget", 0));
+  options.budget.aggregate_words =
+      static_cast<std::size_t>(flags.GetCount("aggregate-budget", 0));
+  engine::StreamBroker broker(options);
+  if (family == 2) {
+    return RunTurnstileBatch(flags, manifest, std::move(specs), show_exact,
+                             broker);
+  }
 
   BinaryEdgeReader reader;
   EdgeList graph;
@@ -732,35 +776,14 @@ int RunEngineBatch(FlagParser& flags, RunManifest& manifest,
     manifest.metrics().SetInt("stream.format_version",
                               static_cast<std::int64_t>(reader.format_version()));
   }
-  const Graph g(graph);
 
   const std::uint64_t seed = flags.GetCount("seed", 1);
-  const std::string order = flags.GetString("order", "shuffled");
-  if (order != "shuffled" && order != "file") {
-    std::cerr << "error: --order must be shuffled or file\n";
-    return 1;
-  }
-  const bool show_exact = !flags.GetBool("no-exact", false);
-  ExactCache exact(g);
-
-  engine::BrokerOptions options;
-  options.block_size =
-      static_cast<std::size_t>(flags.GetCount("block-edges", 4096));
-  options.budget.per_query_words =
-      static_cast<std::size_t>(flags.GetCount("per-query-budget", 0));
-  options.budget.aggregate_words =
-      static_cast<std::size_t>(flags.GetCount("aggregate-budget", 0));
-  engine::StreamBroker broker(options);
-  for (engine::QuerySpec& spec : specs) {
-    if (spec.num_vertices == 0) spec.num_vertices = g.num_vertices();
-    if (spec.base.t_guess <= 1.0) {
-      spec.base.t_guess = std::max(1.0, exact.For(spec.kind));
-    }
-    broker.AddQuery(spec);
-  }
+  ExactCache exact(graph.edges(), graph.num_vertices());
+  FillSpecDefaults(graph.num_vertices(), exact, specs);
+  for (const engine::QuerySpec& spec : specs) broker.AddQuery(spec);
 
   std::vector<engine::QueryOutcome> outcomes;
-  if (edge_family) {
+  if (family == 0) {
     if (binary && order == "file") {
       // Zero-copy: blocks point straight into the mmap'd .bin payload.
       engine::BinaryEdgeSource source(reader);
@@ -775,7 +798,8 @@ int RunEngineBatch(FlagParser& flags, RunManifest& manifest,
     }
   } else {
     Rng order_rng(seed ^ 0x5eedULL);
-    const AdjacencyStream stream = MakeAdjacencyStream(g, order_rng);
+    const AdjacencyStream stream =
+        MakeAdjacencyStream(Graph(graph), order_rng);
     outcomes = broker.RunAdjacencyQueries(stream);
   }
 
@@ -783,10 +807,10 @@ int RunEngineBatch(FlagParser& flags, RunManifest& manifest,
   return 0;
 }
 
-int RunSweep(FlagParser& flags, RunManifest& manifest) {
-  const std::string algos =
-      flags.GetString("algorithms", "random-order,triest,cormode-jowhari");
-  std::vector<engine::QueryKind> kinds;
+// Parses a comma-separated --algorithms list (empty entries skipped).
+// Returns false, after printing an error, on an unknown name.
+bool ParseKindList(const std::string& algos,
+                   std::vector<engine::QueryKind>* kinds) {
   std::size_t start = 0;
   while (start <= algos.size()) {
     std::size_t comma = algos.find(',', start);
@@ -796,11 +820,21 @@ int RunSweep(FlagParser& flags, RunManifest& manifest) {
       const auto kind = engine::ParseQueryKind(name);
       if (!kind.has_value()) {
         std::cerr << "error: unknown algorithm '" << name << "'\n";
-        return Usage();
+        return false;
       }
-      kinds.push_back(*kind);
+      kinds->push_back(*kind);
     }
     start = comma + 1;
+  }
+  return true;
+}
+
+int RunSweep(FlagParser& flags, RunManifest& manifest) {
+  std::vector<engine::QueryKind> kinds;
+  if (!ParseKindList(flags.GetString("algorithms",
+                                     "random-order,triest,cormode-jowhari"),
+                     &kinds)) {
+    return Usage();
   }
   if (kinds.empty()) {
     std::cerr << "error: --algorithms must name at least one algorithm\n";
@@ -882,12 +916,11 @@ int RunServe(FlagParser& flags, RunManifest& manifest) {
 // Everything the sharded front ends (`shard`, `serve --daemon`) need
 // prepared before execution: resolved specs, the stream (mmap'd .bin or
 // materialized), the execution plan, and the exact-count cache for
-// printing. Owns the graph/reader so `edges` stays valid.
+// printing. Owns the graph/reader so `edges` and the cache stay valid.
 struct ShardSetup {
   std::vector<engine::QuerySpec> specs;
   BinaryEdgeReader reader;
   EdgeList graph;
-  std::optional<Graph> g;
   std::optional<ExactCache> exact;
   EdgeStream materialized;
   std::span<const Edge> edges;
@@ -933,22 +966,9 @@ int PrepareShardRun(FlagParser& flags, ShardSetup* setup) {
         static_cast<std::size_t>(flags.GetCount("budget-words", 0));
     if (!ApplySketchBackendFlags(flags, &base)) return Usage();
     const std::uint64_t seed = flags.GetCount("seed", 1);
-    const std::string algos = flags.GetString("algorithms", "arb-f2");
     std::vector<engine::QueryKind> kinds;
-    std::size_t start = 0;
-    while (start <= algos.size()) {
-      std::size_t comma = algos.find(',', start);
-      if (comma == std::string::npos) comma = algos.size();
-      const std::string name = algos.substr(start, comma - start);
-      if (!name.empty()) {
-        const auto kind = engine::ParseQueryKind(name);
-        if (!kind.has_value()) {
-          std::cerr << "error: unknown algorithm '" << name << "'\n";
-          return Usage();
-        }
-        kinds.push_back(*kind);
-      }
-      start = comma + 1;
+    if (!ParseKindList(flags.GetString("algorithms", "arb-f2"), &kinds)) {
+      return Usage();
     }
     if (kinds.empty()) kinds.push_back(engine::QueryKind::kArbF2);
     for (int i = 0; i < num_queries; ++i) {
@@ -964,6 +984,8 @@ int PrepareShardRun(FlagParser& flags, ShardSetup* setup) {
     std::cerr << "error: no queries to run\n";
     return 1;
   }
+  setup->show_exact = !flags.GetBool("no-exact", false);
+  if (!CheckTGuessContract(specs, setup->show_exact)) return 1;
   for (const engine::QuerySpec& spec : specs) {
     if (engine::IsTurnstileKind(spec.kind)) {
       // Honest scoping, not an oversight: the coordinator's slices, state
@@ -989,23 +1011,14 @@ int PrepareShardRun(FlagParser& flags, ShardSetup* setup) {
   EdgeList& graph = setup->graph;
   bool binary = false;
   if (!LoadBatchGraph(flags, &reader, &graph, &binary)) return 1;
-  setup->g.emplace(graph);
-  const Graph& g = *setup->g;
   const std::uint64_t seed = flags.GetCount("seed", 1);
   const std::string order = flags.GetString("order", "shuffled");
   if (order != "shuffled" && order != "file") {
     std::cerr << "error: --order must be shuffled or file\n";
     return 1;
   }
-  setup->show_exact = !flags.GetBool("no-exact", false);
-  setup->exact.emplace(g);
-  ExactCache& exact = *setup->exact;
-  for (engine::QuerySpec& spec : specs) {
-    if (spec.num_vertices == 0) spec.num_vertices = g.num_vertices();
-    if (spec.base.t_guess <= 1.0) {
-      spec.base.t_guess = std::max(1.0, exact.For(spec.kind));
-    }
-  }
+  setup->exact.emplace(graph.edges(), graph.num_vertices());
+  FillSpecDefaults(graph.num_vertices(), *setup->exact, specs);
 
   engine::ShardPlanOptions& options = setup->plan;
   options.num_workers = num_workers;
@@ -1257,7 +1270,6 @@ int Main(int argc, char** argv) {
   }
   int threads = ApplyThreadsFlag(flags);
   const bool checkpointing = ApplyCheckpointFlags(flags, &threads);
-  ApplyExactBackendFlag(flags);
   const std::string command = flags.positional()[0];
   const std::string json_out = flags.GetString("json_out", "");
   const std::string json_det_out = flags.GetString("json_det_out", "");
