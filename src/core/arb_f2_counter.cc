@@ -6,9 +6,7 @@
 #include "hash/kwise_bank.h"
 #include "hash/rng.h"
 #include "sketch/median_of_means.h"
-#include "sketch/sharded.h"
 #include "util/check.h"
-#include "util/parallel.h"
 #include "util/serialize.h"
 
 namespace cyclestream {
@@ -57,22 +55,17 @@ ArbF2FourCycleCounter::ArbF2FourCycleCounter(const Params& params)
 }
 
 void ArbF2FourCycleCounter::Apply(const Edge& e, double sign) {
-  ApplyTo(e, sign, acc_a_.data(), acc_b_.data(), acc_c_.data());
-}
-
-void ArbF2FourCycleCounter::ApplyTo(const Edge& e, double sign, double* acc_a,
-                                    double* acc_b, double* acc_c) const {
   const std::size_t c = num_copies_;
   const signed char* au = alpha_.data() + static_cast<std::size_t>(e.u) * c;
   const signed char* bu = beta_.data() + static_cast<std::size_t>(e.u) * c;
   const signed char* av = alpha_.data() + static_cast<std::size_t>(e.v) * c;
   const signed char* bv = beta_.data() + static_cast<std::size_t>(e.v) * c;
-  double* accA_u = acc_a + static_cast<std::size_t>(e.u) * c;
-  double* accB_u = acc_b + static_cast<std::size_t>(e.u) * c;
-  double* accC_u = acc_c + static_cast<std::size_t>(e.u) * c;
-  double* accA_v = acc_a + static_cast<std::size_t>(e.v) * c;
-  double* accB_v = acc_b + static_cast<std::size_t>(e.v) * c;
-  double* accC_v = acc_c + static_cast<std::size_t>(e.v) * c;
+  double* accA_u = acc_a_.data() + static_cast<std::size_t>(e.u) * c;
+  double* accB_u = acc_b_.data() + static_cast<std::size_t>(e.u) * c;
+  double* accC_u = acc_c_.data() + static_cast<std::size_t>(e.u) * c;
+  double* accA_v = acc_a_.data() + static_cast<std::size_t>(e.v) * c;
+  double* accB_v = acc_b_.data() + static_cast<std::size_t>(e.v) * c;
+  double* accC_v = acc_c_.data() + static_cast<std::size_t>(e.v) * c;
   // A_u += α_v etc. (the wedge centered at u gains neighbor v); six
   // contiguous sweeps over the copies.
   for (std::size_t i = 0; i < c; ++i) {
@@ -109,116 +102,13 @@ void ArbF2FourCycleCounter::ProcessEdge(int pass, const Edge& e,
   Insert(e);
 }
 
-void ArbF2FourCycleCounter::ProcessEdgeBlock(int pass,
-                                             std::span<const Edge> edges,
-                                             std::size_t base_position) {
-  (void)pass;
-  (void)base_position;
-  const std::size_t W = static_cast<std::size_t>(
-      std::max(params_.intra_shards, 1));
-  if (params_.sketch_backend != SketchBackend::kBlock || W <= 1 ||
-      edges.size() < 2 * W) {
-    for (const Edge& e : edges) Insert(e);
-    return;
-  }
-  if (shard_extras_.empty()) {
-    const std::size_t words = acc_a_.size();
-    shard_extras_.resize(W - 1);
-    for (ShardAccums& extra : shard_extras_) {
-      extra.a.assign(words, 0.0);
-      extra.b.assign(words, 0.0);
-      extra.c.assign(words, 0.0);
-    }
-  }
-  ParallelFor(W, [&](std::size_t s) {
-    const ShardSlice slice = MakeShardSlice(edges.size(), W, s);
-    double* a = s == 0 ? acc_a_.data() : shard_extras_[s - 1].a.data();
-    double* b = s == 0 ? acc_b_.data() : shard_extras_[s - 1].b.data();
-    double* c = s == 0 ? acc_c_.data() : shard_extras_[s - 1].c.data();
-    for (std::size_t i = slice.begin; i < slice.end; ++i) {
-      ApplyTo(edges[i], +1.0, a, b, c);
-    }
-  });
-}
-
-void ArbF2FourCycleCounter::ProcessSignedEdgeBlock(
-    std::span<const Edge> edges, std::span<const double> signs) {
-  CHECK_EQ(edges.size(), signs.size());
-  const std::size_t W = static_cast<std::size_t>(
-      std::max(params_.intra_shards, 1));
-  if (params_.sketch_backend != SketchBackend::kBlock || W <= 1 ||
-      edges.size() < 2 * W) {
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      Apply(edges[i], signs[i]);
-    }
-    return;
-  }
-  if (shard_extras_.empty()) {
-    const std::size_t words = acc_a_.size();
-    shard_extras_.resize(W - 1);
-    for (ShardAccums& extra : shard_extras_) {
-      extra.a.assign(words, 0.0);
-      extra.b.assign(words, 0.0);
-      extra.c.assign(words, 0.0);
-    }
-  }
-  ParallelFor(W, [&](std::size_t s) {
-    const ShardSlice slice = MakeShardSlice(edges.size(), W, s);
-    double* a = s == 0 ? acc_a_.data() : shard_extras_[s - 1].a.data();
-    double* b = s == 0 ? acc_b_.data() : shard_extras_[s - 1].b.data();
-    double* c = s == 0 ? acc_c_.data() : shard_extras_[s - 1].c.data();
-    for (std::size_t i = slice.begin; i < slice.end; ++i) {
-      ApplyTo(edges[i], signs[i], a, b, c);
-    }
-  });
-}
-
 void ArbF2FourCycleCounter::Rescale(double factor) {
-  FoldShardExtras();
   for (double& x : acc_a_) x *= factor;
   for (double& x : acc_b_) x *= factor;
   for (double& x : acc_c_) x *= factor;
 }
 
-void ArbF2FourCycleCounter::FoldShardExtras() {
-  // Fixed shard order 1..W−1 per slot. Every accumulator slot is an exact
-  // integer in every shard (sums of ±1 and ±1·±1 terms), so the fold is
-  // exact addition and the result equals the per-edge accumulator bit for
-  // bit. Single pass over the canonical arrays: each slot reads its extras
-  // in shard order, which performs the identical additions as folding one
-  // whole shard at a time but touches acc_* memory only once.
-  for (std::size_t i = 0; i < acc_a_.size(); ++i) {
-    double a = acc_a_[i], b = acc_b_[i], c = acc_c_[i];
-    for (const ShardAccums& extra : shard_extras_) {
-      a += extra.a[i];
-      b += extra.b[i];
-      c += extra.c[i];
-    }
-    acc_a_[i] = a;
-    acc_b_[i] = b;
-    acc_c_[i] = c;
-  }
-  shard_extras_.clear();
-  shard_extras_.shrink_to_fit();
-}
-
-void ArbF2FourCycleCounter::MergedAccums(std::vector<double>* a,
-                                         std::vector<double>* b,
-                                         std::vector<double>* c) const {
-  *a = acc_a_;
-  *b = acc_b_;
-  *c = acc_c_;
-  for (const ShardAccums& extra : shard_extras_) {
-    for (std::size_t i = 0; i < a->size(); ++i) (*a)[i] += extra.a[i];
-    for (std::size_t i = 0; i < b->size(); ++i) (*b)[i] += extra.b[i];
-    for (std::size_t i = 0; i < c->size(); ++i) (*c)[i] += extra.c[i];
-  }
-}
-
-void ArbF2FourCycleCounter::EndPass(int pass) {
-  (void)pass;
-  FoldShardExtras();
-}
+void ArbF2FourCycleCounter::EndPass(int pass) { (void)pass; }
 
 double ArbF2FourCycleCounter::F2Estimate() const {
   const std::size_t n = params_.num_vertices;
@@ -226,13 +116,6 @@ double ArbF2FourCycleCounter::F2Estimate() const {
   const double* pa = acc_a_.data();
   const double* pb = acc_b_.data();
   const double* pc = acc_c_.data();
-  std::vector<double> ma, mb, mc;  // Only filled mid-pass with live shards.
-  if (!shard_extras_.empty()) {
-    MergedAccums(&ma, &mb, &mc);
-    pa = ma.data();
-    pb = mb.data();
-    pc = mc.data();
-  }
   square_scratch_.resize(c);
   for (std::size_t i = 0; i < c; ++i) {
     double z = 0.0;
@@ -265,19 +148,9 @@ bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
   w.Double(params_.base.epsilon);
   w.U64(params_.base.seed);
   w.Double(params_.f1_correction);
-  if (shard_extras_.empty()) {
-    w.Vec(acc_a_);
-    w.Vec(acc_b_);
-    w.Vec(acc_c_);
-  } else {
-    // Merge-then-save: the snapshot always carries the canonical (folded)
-    // accumulators, so it restores into any shard count — including 1.
-    std::vector<double> a, b, c;
-    MergedAccums(&a, &b, &c);
-    w.Vec(a);
-    w.Vec(b);
-    w.Vec(c);
-  }
+  w.Vec(acc_a_);
+  w.Vec(acc_b_);
+  w.Vec(acc_c_);
   return true;
 }
 
@@ -296,9 +169,6 @@ bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
   acc_a_ = std::move(a);
   acc_b_ = std::move(b);
   acc_c_ = std::move(c);
-  // The snapshot is canonical (merged); any live shard scratch is stale.
-  shard_extras_.clear();
-  shard_extras_.shrink_to_fit();
   return true;
 }
 
@@ -316,21 +186,9 @@ bool ArbF2FourCycleCounter::MergeFrom(const EdgeStreamAlgorithm& other) {
       rhs.params_.f1_correction != params_.f1_correction) {
     return false;
   }
-  // Fold both sides' live intra-process shard scratch first so the merge
-  // operates on canonical accumulators (same canonicalization SaveState
-  // performs; rhs is const, so its fold goes through MergedAccums copies).
-  FoldShardExtras();
-  if (rhs.shard_extras_.empty()) {
-    for (std::size_t i = 0; i < acc_a_.size(); ++i) acc_a_[i] += rhs.acc_a_[i];
-    for (std::size_t i = 0; i < acc_b_.size(); ++i) acc_b_[i] += rhs.acc_b_[i];
-    for (std::size_t i = 0; i < acc_c_.size(); ++i) acc_c_[i] += rhs.acc_c_[i];
-  } else {
-    std::vector<double> a, b, c;
-    rhs.MergedAccums(&a, &b, &c);
-    for (std::size_t i = 0; i < acc_a_.size(); ++i) acc_a_[i] += a[i];
-    for (std::size_t i = 0; i < acc_b_.size(); ++i) acc_b_[i] += b[i];
-    for (std::size_t i = 0; i < acc_c_.size(); ++i) acc_c_[i] += c[i];
-  }
+  for (std::size_t i = 0; i < acc_a_.size(); ++i) acc_a_[i] += rhs.acc_a_[i];
+  for (std::size_t i = 0; i < acc_b_.size(); ++i) acc_b_[i] += rhs.acc_b_[i];
+  for (std::size_t i = 0; i < acc_c_.size(); ++i) acc_c_[i] += rhs.acc_c_[i];
   return true;
 }
 

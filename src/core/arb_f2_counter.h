@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/config.h"
-#include "sketch/sketch_backend.h"
 #include "stream/driver.h"
 
 namespace cyclestream {
@@ -40,12 +39,6 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
     int copies_per_group = -1;  // <= 0 derives ⌈2/ε²⌉ capped at 512.
     int groups = 9;
     double f1_correction = 0.0;  // Optional known F₁(z) to subtract.
-    /// kBlock opts into batched ProcessEdgeBlock delivery with per-thread
-    /// accumulator shards; kScalar keeps the historical per-edge path.
-    /// Either way the estimate is bit-identical (DESIGN.md §13) — these are
-    /// throughput knobs, never recorded in deterministic manifests.
-    SketchBackend sketch_backend = SketchBackend::kScalar;
-    int intra_shards = 1;  // Worker shards per block; <=1 disables sharding.
   };
 
   explicit ArbF2FourCycleCounter(const Params& params);
@@ -58,24 +51,9 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   int NumPasses() const override { return 1; }
   void StartPass(int pass, std::size_t stream_length) override;
   void ProcessEdge(int pass, const Edge& e, std::size_t position) override;
-  /// Batched delivery. With Params{kBlock, intra_shards > 1} the block is
-  /// split into contiguous slices, each applied by a pool worker into its
-  /// own accumulator shard; EndPass folds the shards back in fixed order.
-  /// Every edge delta is an exact small integer, so the fold is exact and
-  /// the final accumulators are bit-identical to the per-edge path at any
-  /// shard count (the ShardedSketch determinism contract).
-  void ProcessEdgeBlock(int pass, std::span<const Edge> edges,
-                        std::size_t base_position) override;
-  /// Signed batched delivery (the turnstile path): edges[i] enters with
-  /// weight signs[i] ∈ {+1, −1}. Same kBlock/intra_shards gating and shard
-  /// slicing as ProcessEdgeBlock, and the same contract: bit-identical to
-  /// applying Insert/Delete per update at any shard count.
-  void ProcessSignedEdgeBlock(std::span<const Edge> edges,
-                              std::span<const double> signs);
   /// Multiplies every accumulator by `factor` — the exponential-decay hook.
-  /// Folds live shard scratch first (fixed order) so the scale covers the
-  /// whole state; with an exact power-of-two factor the multiply is a pure
-  /// exponent shift, lossless on every slot.
+  /// With an exact power-of-two factor the multiply is a pure exponent
+  /// shift, lossless on every slot.
   void Rescale(double factor);
   void EndPass(int pass) override;
   std::string_view CheckpointId() const override { return "arbf2/1"; }
@@ -99,20 +77,6 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
  private:
   void Apply(const Edge& e, double sign);
 
-  /// Apply into an explicit accumulator triple (shard scratch or the
-  /// canonical arrays). Same six sweeps as Apply.
-  void ApplyTo(const Edge& e, double sign, double* acc_a, double* acc_b,
-               double* acc_c) const;
-
-  /// Folds live shard scratch into the canonical accumulators (fixed shard
-  /// order) and releases it. No-op when no scratch is live.
-  void FoldShardExtras();
-
-  /// a/b/c receive the canonical accumulators with any live shard scratch
-  /// folded in (copies only when scratch is live — cold paths only).
-  void MergedAccums(std::vector<double>* a, std::vector<double>* b,
-                    std::vector<double>* c) const;
-
   Params params_;
   std::size_t num_copies_ = 0;
   // ±1 sign caches, copy-minor: alpha_[v·C + c] for vertex v, copy c. The
@@ -124,15 +88,6 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   std::vector<double> acc_a_;
   std::vector<double> acc_b_;
   std::vector<double> acc_c_;
-  // Per-shard accumulator scratch for block delivery: shard s > 0 writes
-  // shard_extras_[s-1] while shard 0 writes the canonical arrays above.
-  // Lazily allocated on the first sharded block, folded back at pass end.
-  // Derived working memory: not serialized (SaveState writes the folded,
-  // canonical form — merge-then-save) and not counted in Result().
-  struct ShardAccums {
-    std::vector<double> a, b, c;
-  };
-  std::vector<ShardAccums> shard_extras_;
   mutable std::vector<double> square_scratch_;
 };
 

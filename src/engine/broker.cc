@@ -134,10 +134,6 @@ void RunWave(Source& source, const BrokerOptions& options,
     // query (slot qi → shard qi mod shards, each shard serial), so the
     // per-query call sequence is the exact standalone sequence — the block
     // barrier only bounds how far queries can drift apart in the stream.
-    // With a single active query the outer ParallelFor is bypassed entirely
-    // (not even a 1-wide region): util/parallel.h runs nested ParallelFor
-    // calls serially inline, so the bypass is what lets a lone query's own
-    // intra-query shards (ProcessEdgeBlock) actually use the pool.
     ++stats.physical_passes;
     const std::size_t shards =
         std::min(active.size(), static_cast<std::size_t>(DefaultThreads()));
@@ -147,21 +143,13 @@ void RunWave(Source& source, const BrokerOptions& options,
     for (const auto* block = source.NextBlock(options.block_size, &n);
          block != nullptr; block = source.NextBlock(options.block_size, &n)) {
       stats.source_items_read += n;
-      if (shards <= 1) {
-        for (std::size_t qi = 0; qi < active.size(); ++qi) {
+      ParallelFor(shards, [&](std::size_t shard) {
+        for (std::size_t qi = shard; qi < active.size(); qi += shards) {
           Traits::ProcessBlock(*queries[active[qi]].algorithm, pass, block, n,
                                base);
           delivered[active[qi]] += n;
         }
-      } else {
-        ParallelFor(shards, [&](std::size_t shard) {
-          for (std::size_t qi = shard; qi < active.size(); qi += shards) {
-            Traits::ProcessBlock(*queries[active[qi]].algorithm, pass, block,
-                                 n, base);
-            delivered[active[qi]] += n;
-          }
-        });
-      }
+      });
       stats.items_delivered += static_cast<std::uint64_t>(n) * active.size();
       base += n;
     }
@@ -368,8 +356,7 @@ void ExportToManifest(const std::vector<QueryOutcome>& outcomes,
     q.SetInt("budget_words",
              static_cast<std::int64_t>(out.spec.space_budget_words));
     // Window/decay knobs change results, so they belong in the
-    // deterministic section (unlike the sketch_backend/intra_shards
-    // throughput knobs, which are deliberately absent).
+    // deterministic section.
     if (out.spec.window_edges > 0) {
       q.SetInt("window", static_cast<std::int64_t>(out.spec.window_edges));
       q.SetInt("window_buckets",

@@ -23,11 +23,11 @@ namespace cyclestream::engine {
 /// Determinism contract: every query's merged state — and therefore every
 /// estimate, space audit, and deterministic manifest field — is
 /// bit-identical to the single-process StreamBroker run of the same specs
-/// over the same stream, at any W. The argument is the ShardedSketch one,
-/// crossed over the process boundary: shard states are sums of exact
-/// integer deltas (each well under 2^53, held in doubles), the stream
-/// partition is contiguous and exhaustive, and the fold visits shards in
-/// fixed order 0..W−1 — so the merged accumulators receive exactly the
+/// over the same stream, at any W. The argument is the linear-state one
+/// (DESIGN.md §13.2), crossed over the process boundary: shard states are
+/// sums of exact integer deltas (each well under 2^53, held in doubles),
+/// the stream partition is contiguous and exhaustive, and the fold visits
+/// shards in fixed order 0..W−1 — so the merged accumulators receive the
 /// additions the unsharded pass performs, and integer addition is exact.
 /// W = 1 is the oracle: one worker over the whole stream, merged with
 /// nothing.

@@ -97,8 +97,8 @@ class KWiseHashBank {
   /// coeffs_ (split_lo_[j·n+i] = c & (2³¹−1), split_hi_ = c >> 31): they are
   /// not counted by SpaceWords and not serialized — a restored bank rebuilds
   /// them lazily. Lazy build mutates the mutable members, so like the sketch
-  /// scratch buffers the first block call is not thread-safe; shard workers
-  /// share a bank only after it is warm (ShardedSketch merges serially).
+  /// scratch buffers the first block call is not thread-safe; threads may
+  /// share a bank only after it is warm.
   internal::SketchBankView BlockView() const;
   void EnsureBlockTables() const;
 

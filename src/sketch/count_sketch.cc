@@ -89,14 +89,6 @@ void CountSketch::UpdateBlock(std::span<const std::uint64_t> keys,
   }
 }
 
-void CountSketch::MergeFrom(const CountSketch& other) {
-  CHECK_EQ(depth_, other.depth_);
-  CHECK_EQ(width_, other.width_);
-  for (std::size_t i = 0; i < table_.size(); ++i) {
-    table_[i] += other.table_[i];
-  }
-}
-
 double CountSketch::MedianOfRows() const {
   std::nth_element(row_scratch_.begin(),
                    row_scratch_.begin() + row_scratch_.size() / 2,

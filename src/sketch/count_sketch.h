@@ -36,10 +36,6 @@ class CountSketch {
   /// exact IEEE addition sequence the per-key loop issues.
   void UpdateBlock(std::span<const std::uint64_t> keys, double delta);
 
-  /// Adds `other`'s table into this sketch. Both must share (depth, width,
-  /// seed); see AmsF2::MergeFrom for the determinism contract.
-  void MergeFrom(const CountSketch& other);
-
   /// Median-over-rows point estimate of x[key].
   double Query(std::uint64_t key) const;
 

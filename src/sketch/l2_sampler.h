@@ -57,7 +57,7 @@ class L2Sampler {
   /// UpdateAndQuery reads state the previous key wrote. Final sampler state
   /// (and thus SaveState bytes) is identical to per-key Update calls. Note
   /// the candidate bookkeeping makes the sampler order-dependent, so it is
-  /// NOT mergeable — no MergeFrom, and ShardedSketch must not wrap it.
+  /// NOT mergeable: its state is not linear in the stream (DESIGN.md §13.2).
   void UpdateBlock(std::span<const std::uint64_t> keys, double delta);
 
   struct Sample {

@@ -27,8 +27,8 @@ class StateReader;
 enum class TurnstileOp : std::uint8_t { kInsert = 0, kDelete = 1 };
 
 /// ±1.0 update sign: every accumulator delta is sign · (±1 term), an exact
-/// small integer, which is what makes cancellation, sharding, and merges
-/// bit-exact (the ShardedSketch determinism contract).
+/// small integer, which is what makes cancellation and merges bit-exact
+/// (DESIGN.md §13.2).
 inline double TurnstileSign(TurnstileOp op) {
   return op == TurnstileOp::kInsert ? +1.0 : -1.0;
 }

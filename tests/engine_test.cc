@@ -332,72 +332,55 @@ TEST(EngineTest, VectorEdgeSourceZeroMaxEdgesIsEmptyAndDoesNotAdvance) {
   EXPECT_EQ(total, stream.size());
 }
 
-TEST(EngineTest, ShardedBlockBackendBitIdenticalToStandaloneScalar) {
-  // The tentpole determinism contract end-to-end: an arb-f2 query using the
-  // batched SIMD kernels and intra-query shards through the broker must
-  // reproduce, bit for bit, the estimate of the same spec run standalone
-  // through the plain per-edge driver with the scalar backend.
+TEST(EngineTest, ArbF2BrokerMatchesStandaloneAcrossThreadsAndBlockSizes) {
+  // arb-f2 queries through the broker must reproduce, bit for bit, the
+  // estimates and space of the same specs run standalone through the plain
+  // per-edge driver, at any thread count and block size, and the
+  // deterministic manifest must not depend on either.
   EdgeList graph;
   const EdgeStream stream = MixedSweepStream(&graph);
 
-  QuerySpec spec;
-  spec.name = "arb-f2-sharded";
-  spec.kind = QueryKind::kArbF2;
-  spec.base.epsilon = 0.4;
-  spec.base.t_guess = 120.0;
-  spec.base.seed = 777;
-  spec.num_vertices = graph.num_vertices();
-
-  EdgeQuery standalone = MakeEdgeQuery(spec);  // Default: scalar, 1 shard.
-  RunEdgeStream(*standalone.algorithm, stream);
-  const Estimate reference = standalone.result();
-
-  ScopedThreads scoped(8);
-  for (const int shards : {1, 4, 8}) {
-    SCOPED_TRACE("intra_shards=" + std::to_string(shards));
-    QuerySpec sharded = spec;
-    sharded.sketch_backend = SketchBackend::kBlock;
-    sharded.intra_shards = shards;
-    StreamBroker broker;
-    broker.AddQuery(sharded);
-    const auto outcomes = broker.RunEdgeQueries(stream);
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_EQ(outcomes[0].admission, AdmissionOutcome::kAdmitted);
-    EXPECT_EQ(outcomes[0].estimate.value, reference.value);
-    EXPECT_EQ(outcomes[0].estimate.space_words, reference.space_words);
+  std::vector<QuerySpec> specs;
+  std::vector<Estimate> reference;
+  for (int i = 0; i < 3; ++i) {
+    QuerySpec spec;
+    spec.name = "arb-f2-" + std::to_string(i);
+    spec.kind = QueryKind::kArbF2;
+    spec.base.epsilon = 0.4;
+    spec.base.t_guess = 120.0;
+    spec.base.seed = 777 + static_cast<std::uint64_t>(i);
+    spec.num_vertices = graph.num_vertices();
+    EdgeQuery standalone = MakeEdgeQuery(spec);
+    RunEdgeStream(*standalone.algorithm, stream);
+    reference.push_back(standalone.result());
+    specs.push_back(std::move(spec));
   }
-}
 
-TEST(EngineTest, ShardedBlockBackendManifestMatchesScalarBackend) {
-  // Deterministic manifests must not leak the backend/shard choice: a block
-  // +sharded run and a scalar run of the same specs export identical JSON.
-  EdgeList graph;
-  const EdgeStream stream = MixedSweepStream(&graph);
-
-  auto run = [&](SketchBackend backend, int shards) {
-    ScopedThreads scoped(backend == SketchBackend::kBlock ? 8 : 1);
-    StreamBroker broker;
-    for (int i = 0; i < 3; ++i) {
-      QuerySpec spec;
-      spec.name = "arb-f2-" + std::to_string(i);
-      spec.kind = QueryKind::kArbF2;
-      spec.base.epsilon = 0.5;
-      spec.base.t_guess = 120.0;
-      spec.base.seed = 40 + static_cast<std::uint64_t>(i);
-      spec.num_vertices = graph.num_vertices();
-      spec.sketch_backend = backend;
-      spec.intra_shards = shards;
-      broker.AddQuery(std::move(spec));
+  std::string reference_json;
+  for (const int threads : {1, 8}) {
+    for (const std::size_t block_size : {1, 7, 4096}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " block_size=" + std::to_string(block_size));
+      ScopedThreads scoped(threads);
+      BrokerOptions options;
+      options.block_size = block_size;
+      StreamBroker broker(options);
+      for (const QuerySpec& spec : specs) broker.AddQuery(spec);
+      const auto outcomes = broker.RunEdgeQueries(stream);
+      ASSERT_EQ(outcomes.size(), specs.size());
+      for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        EXPECT_EQ(outcomes[i].admission, AdmissionOutcome::kAdmitted);
+        EXPECT_EQ(outcomes[i].estimate.value, reference[i].value);
+        EXPECT_EQ(outcomes[i].estimate.space_words,
+                  reference[i].space_words);
+      }
+      RunManifest manifest("engine_test");
+      ExportToManifest(outcomes, broker.stats(), manifest);
+      const std::string json = manifest.DeterministicJson();
+      if (reference_json.empty()) reference_json = json;
+      EXPECT_EQ(json, reference_json);
     }
-    const auto outcomes = broker.RunEdgeQueries(stream);
-    RunManifest manifest("engine_test");
-    ExportToManifest(outcomes, broker.stats(), manifest);
-    return manifest.DeterministicJson();
-  };
-
-  const std::string scalar = run(SketchBackend::kScalar, 1);
-  EXPECT_EQ(scalar, run(SketchBackend::kBlock, 1));
-  EXPECT_EQ(scalar, run(SketchBackend::kBlock, 8));
+  }
 }
 
 TEST(EngineTest, ManifestExportIsThreadCountInvariant) {

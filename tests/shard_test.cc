@@ -371,7 +371,7 @@ TEST(CoordinatorTest, BitIdenticalToBrokerAtEveryWorkerCount) {
   }
 }
 
-TEST(CoordinatorTest, EmptyShardSlicesMergeAsIdentity) {
+TEST(CoordinatorTest, EmptyShardRangesMergeAsIdentity) {
   // 5 edges, 8 workers: shards 5..7 process nothing and must merge as the
   // identity.
   VertexId n = 0;

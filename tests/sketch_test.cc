@@ -15,9 +15,6 @@
 #include "sketch/l2_sampler.h"
 #include "sketch/median_of_means.h"
 #include "sketch/reservoir.h"
-#include "sketch/sharded.h"
-#include "sketch/sketch_backend.h"
-#include "util/parallel.h"
 #include "util/serialize.h"
 
 namespace cyclestream {
@@ -310,71 +307,6 @@ TEST(SketchBlockTest, BlockPathBitIdenticalAcrossSimdTiers) {
   SetSketchSimdMode(saved);
   EXPECT_EQ(StateBytes(scalar_ams), StateBytes(auto_ams));
   EXPECT_EQ(StateBytes(scalar_cs), StateBytes(auto_cs));
-}
-
-// ---------------------------------------------------------------------------
-// ShardedSketch: merged state must match the unsharded sketch bit for bit at
-// every shard count, and checkpoints must restore across shard counts.
-// ---------------------------------------------------------------------------
-
-TEST(ShardedSketchTest, MergedStateMatchesUnshardedAcrossShardCounts) {
-  SetDefaultThreads(8);
-  const auto keys = UpdateKeys(3000, 0x5A4D);
-  AmsF2 ref_ams(7, 96, 77);
-  CountSketch ref_cs(5, 512, 78);
-  std::span<const std::uint64_t> rest(keys);
-  while (!rest.empty()) {
-    const std::size_t n = std::min<std::size_t>(512, rest.size());
-    ref_ams.UpdateBlock(rest.subspan(0, n), 1.0);
-    ref_cs.UpdateBlock(rest.subspan(0, n), 1.0);
-    rest = rest.subspan(n);
-  }
-  for (int shards : {1, 4, 8}) {
-    ShardedSketch<AmsF2> sharded_ams([] { return AmsF2(7, 96, 77); }, shards);
-    ShardedSketch<CountSketch> sharded_cs(
-        [] { return CountSketch(5, 512, 78); }, shards);
-    std::span<const std::uint64_t> r2(keys);
-    while (!r2.empty()) {
-      const std::size_t n = std::min<std::size_t>(512, r2.size());
-      sharded_ams.UpdateBlock(r2.subspan(0, n), 1.0);
-      sharded_cs.UpdateBlock(r2.subspan(0, n), 1.0);
-      r2 = r2.subspan(n);
-    }
-    EXPECT_EQ(StateBytes(ref_ams), StateBytes(sharded_ams.Merged()))
-        << "shards=" << shards;
-    EXPECT_EQ(StateBytes(ref_cs), StateBytes(sharded_cs.Merged()))
-        << "shards=" << shards;
-    // The wrapper's own SaveState is the canonical merged form.
-    StateWriter w;
-    sharded_ams.SaveState(w);
-    EXPECT_EQ(StateBytes(ref_ams), w.str()) << "shards=" << shards;
-  }
-}
-
-TEST(ShardedSketchTest, CheckpointRestoresIntoAnyShardCount) {
-  SetDefaultThreads(8);
-  const auto head = UpdateKeys(1200, 0xAA);
-  const auto tail = UpdateKeys(1300, 0xBB);
-  // Reference: all keys through a single unsharded sketch.
-  AmsF2 ref(7, 96, 91);
-  ref.UpdateBlock(head, 1.0);
-  ref.UpdateBlock(tail, 1.0);
-  // Checkpoint a 4-shard sketch mid-stream with live (unmerged) shards.
-  auto factory = [] { return AmsF2(7, 96, 91); };
-  ShardedSketch<AmsF2> source(factory, 4);
-  source.UpdateBlock(head, 1.0);
-  StateWriter w;
-  source.SaveState(w);
-  const std::string snapshot = w.str();
-  // Restore into different shard counts and finish the stream in each.
-  for (int shards : {1, 4, 8}) {
-    ShardedSketch<AmsF2> resumed(factory, shards);
-    StateReader r(snapshot);
-    ASSERT_TRUE(resumed.RestoreState(r)) << "shards=" << shards;
-    resumed.UpdateBlock(tail, 1.0);
-    EXPECT_EQ(StateBytes(ref), StateBytes(resumed.Merged()))
-        << "shards=" << shards;
-  }
 }
 
 }  // namespace

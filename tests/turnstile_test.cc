@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -29,6 +30,7 @@
 #include "util/crc32.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
+#include "util/serialize.h"
 
 namespace cyclestream {
 namespace {
@@ -249,9 +251,8 @@ TEST(TurnstileEquivalenceTest, InsertOnlyC4MatchesArbF2) {
 
 // The headline cancellation contract: inserting A then B, then deleting B
 // again, leaves estimates bit-identical to inserting A alone — for both
-// turnstile kinds, at every thread x intra-shard combination (the signed
-// block kernels must preserve it too).
-TEST(TurnstileCancellationTest, DeletesCancelExactlyAtAnyThreadShardCount) {
+// turnstile kinds, at every thread count.
+TEST(TurnstileCancellationTest, DeletesCancelExactlyAtAnyThreadCount) {
   Rng gen_rng(3);
   const EdgeList graph = ErdosRenyiGnm(50, 260, gen_rng);
   EdgeStream edges = graph.edges();
@@ -269,31 +270,25 @@ TEST(TurnstileCancellationTest, DeletesCancelExactlyAtAnyThreadShardCount) {
   const int saved_threads = DefaultThreads();
   for (int threads : {1, 8}) {
     SetDefaultThreads(threads);
-    for (int shards : {1, 4}) {
-      TurnstileF2TriangleCounter::Params tp;
-      tp.base = TestBase(77);
-      tp.num_vertices = graph.num_vertices();
-      tp.sketch_backend = SketchBackend::kBlock;
-      tp.intra_shards = shards;
-      TurnstileF2TriangleCounter tri_cancelled(tp);
-      RunTurnstileStream(tri_cancelled, cancelled);
-      TurnstileF2TriangleCounter tri_inserts(tp);
-      RunTurnstileStream(tri_inserts, insert_only);
-      EXPECT_EQ(tri_cancelled.Result().value, tri_inserts.Result().value)
-          << "triangle kind, threads=" << threads << " shards=" << shards;
+    TurnstileF2TriangleCounter::Params tp;
+    tp.base = TestBase(77);
+    tp.num_vertices = graph.num_vertices();
+    TurnstileF2TriangleCounter tri_cancelled(tp);
+    RunTurnstileStream(tri_cancelled, cancelled);
+    TurnstileF2TriangleCounter tri_inserts(tp);
+    RunTurnstileStream(tri_inserts, insert_only);
+    EXPECT_EQ(tri_cancelled.Result().value, tri_inserts.Result().value)
+        << "triangle kind, threads=" << threads;
 
-      TurnstileF2FourCycleCounter::Params cp;
-      cp.base = TestBase(78);
-      cp.num_vertices = graph.num_vertices();
-      cp.sketch_backend = SketchBackend::kBlock;
-      cp.intra_shards = shards;
-      TurnstileF2FourCycleCounter c4_cancelled(cp);
-      RunTurnstileStream(c4_cancelled, cancelled);
-      TurnstileF2FourCycleCounter c4_inserts(cp);
-      RunTurnstileStream(c4_inserts, insert_only);
-      EXPECT_EQ(c4_cancelled.Result().value, c4_inserts.Result().value)
-          << "c4 kind, threads=" << threads << " shards=" << shards;
-    }
+    TurnstileF2FourCycleCounter::Params cp;
+    cp.base = TestBase(78);
+    cp.num_vertices = graph.num_vertices();
+    TurnstileF2FourCycleCounter c4_cancelled(cp);
+    RunTurnstileStream(c4_cancelled, cancelled);
+    TurnstileF2FourCycleCounter c4_inserts(cp);
+    RunTurnstileStream(c4_inserts, insert_only);
+    EXPECT_EQ(c4_cancelled.Result().value, c4_inserts.Result().value)
+        << "c4 kind, threads=" << threads;
   }
   SetDefaultThreads(saved_threads);
 }
@@ -313,9 +308,40 @@ TEST(TurnstileCancellationTest, FullCancellationYieldsEmptyGraphEstimate) {
   EXPECT_EQ(alg.Result().value, 0.0);
 }
 
-// Block vs scalar delivery of the same signed stream must agree bitwise
-// (the DESIGN.md §13 contract extended to the turnstile update path).
-TEST(TurnstileBlockTest, BlockAndScalarBackendsAreBitIdentical) {
+// ProcessUpdateBlock at any block size must leave exactly the state of
+// per-update ProcessUpdate calls, for both turnstile kinds, on a stream
+// with deletes.
+template <typename Counter>
+void ExpectBlockDeliveryMatchesPerUpdate(const typename Counter::Params& p,
+                                         const TurnstileStream& stream) {
+  Counter per_update(p);
+  per_update.StartPass(0, stream.size());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    per_update.ProcessUpdate(0, stream[i], i);
+  }
+  per_update.EndPass(0);
+  StateWriter golden;
+  ASSERT_TRUE(per_update.SaveState(golden));
+
+  for (const std::size_t block : {1, 7, 64}) {
+    SCOPED_TRACE("block=" + std::to_string(block));
+    Counter blocked(p);
+    blocked.StartPass(0, stream.size());
+    for (std::size_t i = 0; i < stream.size(); i += block) {
+      const std::size_t n = std::min(block, stream.size() - i);
+      blocked.ProcessUpdateBlock(
+          0, std::span<const TurnstileUpdate>(stream.data() + i, n), i);
+    }
+    blocked.EndPass(0);
+    EXPECT_EQ(blocked.Result().value, per_update.Result().value);
+    EXPECT_EQ(blocked.Result().space_words, per_update.Result().space_words);
+    StateWriter state;
+    ASSERT_TRUE(blocked.SaveState(state));
+    EXPECT_EQ(state.str(), golden.str());
+  }
+}
+
+TEST(TurnstileBlockTest, BlockDeliveryMatchesPerUpdateAtAnyBlockSize) {
   Rng gen_rng(13);
   const EdgeList graph = ErdosRenyiGnm(40, 200, gen_rng);
   TurnstileStream stream = TurnstileFromEdges(graph.edges());
@@ -323,19 +349,15 @@ TEST(TurnstileBlockTest, BlockAndScalarBackendsAreBitIdentical) {
     stream.emplace_back(graph.edges()[i], TurnstileOp::kDelete);
   }
 
-  TurnstileF2TriangleCounter::Params p;
-  p.base = TestBase(31);
-  p.num_vertices = graph.num_vertices();
-  p.sketch_backend = SketchBackend::kScalar;
-  TurnstileF2TriangleCounter scalar(p);
-  RunTurnstileStream(scalar, stream);
+  TurnstileF2TriangleCounter::Params tp;
+  tp.base = TestBase(31);
+  tp.num_vertices = graph.num_vertices();
+  ExpectBlockDeliveryMatchesPerUpdate<TurnstileF2TriangleCounter>(tp, stream);
 
-  p.sketch_backend = SketchBackend::kBlock;
-  p.intra_shards = 4;
-  TurnstileF2TriangleCounter block(p);
-  RunTurnstileStream(block, stream);
-
-  EXPECT_EQ(scalar.Result().value, block.Result().value);
+  TurnstileF2FourCycleCounter::Params cp;
+  cp.base = TestBase(32);
+  cp.num_vertices = graph.num_vertices();
+  ExpectBlockDeliveryMatchesPerUpdate<TurnstileF2FourCycleCounter>(cp, stream);
 }
 
 TurnstileAlgorithmFactory TriangleFactory(VertexId n, std::uint64_t seed) {
