@@ -276,8 +276,8 @@ std::vector<engine::QuerySpec> ShardBenchSpecs(std::size_t count,
   return specs;
 }
 
-// Serialize/merge cost alone: W pre-built shard states folded into one
-// query via RestoreState + MergeFrom, exactly the coordinator's fold loop.
+// Merge cost alone: W pre-built shard state blobs folded into one fresh
+// query via MergeState, exactly the coordinator's fold loop (FoldShardState).
 // Arg = number of shard states.
 void BM_ShardMerge(benchmark::State& state) {
   const std::size_t workers = static_cast<std::size_t>(state.range(0));
@@ -306,15 +306,9 @@ void BM_ShardMerge(benchmark::State& state) {
 
   for (auto _ : state) {
     engine::EdgeQuery merged = engine::MakeEdgeQuery(specs[0]);
-    {
-      StateReader reader(blobs[0]);
-      CHECK(merged.algorithm->RestoreState(reader));
-    }
-    for (std::size_t w = 1; w < workers; ++w) {
-      engine::EdgeQuery scratch = engine::MakeEdgeQuery(specs[0]);
+    for (std::size_t w = 0; w < workers; ++w) {
       StateReader reader(blobs[w]);
-      CHECK(scratch.algorithm->RestoreState(reader));
-      merged.algorithm->MergeFrom(*scratch.algorithm);
+      CHECK(merged.algorithm->MergeState(reader));
     }
     benchmark::DoNotOptimize(merged.result());
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "hash/kwise_bank.h"
 #include "hash/rng.h"
@@ -154,30 +155,59 @@ bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
   return true;
 }
 
-bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
+bool ArbF2FourCycleCounter::ParseState(StateReader& r,
+                                       std::string_view arrays[3]) const {
   if (r.U32() != params_.num_vertices || r.Size() != num_copies_ ||
       r.I64() != params_.groups || r.Double() != params_.base.epsilon ||
       r.U64() != params_.base.seed || r.Double() != params_.f1_correction) {
     return r.Fail();
   }
-  std::vector<double> a, b, c;
-  if (!r.Vec(&a) || !r.Vec(&b) || !r.Vec(&c)) return false;
-  if (a.size() != acc_a_.size() || b.size() != acc_b_.size() ||
-      c.size() != acc_c_.size()) {
-    return r.Fail();
+  const std::size_t bytes = acc_a_.size() * sizeof(double);
+  for (int k = 0; k < 3; ++k) {
+    if (!r.VecBytes<double>(&arrays[k])) return false;
+    if (arrays[k].size() != bytes) return r.Fail();
   }
-  acc_a_ = std::move(a);
-  acc_b_ = std::move(b);
-  acc_c_ = std::move(c);
   return true;
 }
 
-bool ArbF2FourCycleCounter::MergeFrom(const EdgeStreamAlgorithm& other) {
-  // Identify by CheckpointId (stable tag, no RTTI dependence), then verify
-  // the same config fields RestoreState fingerprints — a merge across
+bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
+  std::string_view arrays[3];
+  if (!ParseState(r, arrays)) return false;
+  // Zero, then fold. -0.0 is the additive identity for every double (+0.0
+  // is not for -0.0), so the fold below is a bit-exact copy of the blob.
+  std::fill(acc_a_.begin(), acc_a_.end(), -0.0);
+  std::fill(acc_b_.begin(), acc_b_.end(), -0.0);
+  std::fill(acc_c_.begin(), acc_c_.end(), -0.0);
+  AddArrays(arrays);
+  return true;
+}
+
+bool ArbF2FourCycleCounter::MergeState(StateReader& r) {
+  std::string_view arrays[3];
+  if (!ParseState(r, arrays) || !r.AtEnd()) return r.Fail();
+  AddArrays(arrays);
+  return true;
+}
+
+void ArbF2FourCycleCounter::AddArrays(const std::string_view arrays[3]) {
+  double* const accs[3] = {acc_a_.data(), acc_b_.data(), acc_c_.data()};
+  for (int k = 0; k < 3; ++k) {
+    // The blob sits at an arbitrary offset of a mapped file: load each
+    // little-endian double with memcpy (one unaligned load after
+    // optimization), never through a cast pointer.
+    const char* src = arrays[k].data();
+    double* acc = accs[k];
+    for (std::size_t i = 0; i < acc_a_.size(); ++i) {
+      double x;
+      std::memcpy(&x, src + i * sizeof(double), sizeof(double));
+      acc[i] += x;
+    }
+  }
+}
+
+bool ArbF2FourCycleCounter::MergeFrom(const ArbF2FourCycleCounter& rhs) {
+  // The same config fields RestoreState fingerprints — a merge across
   // mismatched seeds or dimensions would be silent garbage.
-  if (other.CheckpointId() != CheckpointId()) return false;
-  const auto& rhs = static_cast<const ArbF2FourCycleCounter&>(other);
   if (rhs.params_.num_vertices != params_.num_vertices ||
       rhs.num_copies_ != num_copies_ ||
       rhs.params_.groups != params_.groups ||

@@ -2,6 +2,7 @@
 #define CYCLESTREAM_CORE_ARB_F2_COUNTER_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/config.h"
@@ -59,14 +60,21 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   std::string_view CheckpointId() const override { return "arbf2/1"; }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;
-  /// Shard-merge: adds `other`'s accumulators into this counter's. The
-  /// state is linear in the stream (every edge contributes fixed ±1 /
-  /// ±1·±1 deltas), so merging shard-local counters over a partitioned
-  /// stream reproduces the whole-stream counters exactly — every slot is
-  /// an exact integer far below 2^53, making the addition exact and
-  /// associative. False (no mutation) unless `other` is an
-  /// ArbF2FourCycleCounter with identical result-affecting configuration.
-  bool MergeFrom(const EdgeStreamAlgorithm& other) override;
+  /// Adds `other`'s accumulators into this counter's (the turnstile-c4
+  /// window folds its buckets this way). The state is linear in the stream
+  /// (every edge contributes fixed ±1 / ±1·±1 deltas), so merging
+  /// shard-local counters over a partitioned stream reproduces the
+  /// whole-stream counters exactly — every slot is an exact integer far
+  /// below 2^53, making the addition exact and associative. False (no
+  /// mutation) unless `other` has identical result-affecting
+  /// configuration.
+  bool MergeFrom(const ArbF2FourCycleCounter& other);
+  /// MergeFrom from a SaveState blob: checks the config fields, the three
+  /// accumulator sizes and that `r` holds nothing after them, then adds
+  /// the blob's accumulators in place, read straight from its bytes.
+  /// RestoreState is the same validation and fold over zeroed
+  /// accumulators.
+  bool MergeState(StateReader& r) override;
 
   /// Computes the estimate from the current counters (may be called at any
   /// time in the dynamic setting).
@@ -76,6 +84,12 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
 
  private:
   void Apply(const Edge& e, double sign);
+  /// Reads SaveState's layout from `r` without mutating this counter: the
+  /// config fields must match and each accumulator array must hold exactly
+  /// n·C doubles. On success `arrays` views the A, B, C bytes inside `r`.
+  bool ParseState(StateReader& r, std::string_view arrays[3]) const;
+  /// Adds the three parsed accumulator arrays into acc_{a,b,c}_.
+  void AddArrays(const std::string_view arrays[3]);
 
   Params params_;
   std::size_t num_copies_ = 0;

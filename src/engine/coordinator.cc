@@ -50,16 +50,6 @@ bool LaunchInProcess(const WorkerLaunch& launch) {
   return outcome.completed;
 }
 
-// Restores one query's blob into a fresh instance of `spec`.
-EdgeQuery RestoreQuery(const QuerySpec& spec, const std::string& blob) {
-  EdgeQuery q = MakeEdgeQuery(spec);
-  StateReader r(blob);
-  CHECK(q.algorithm->RestoreState(r) && r.AtEnd())
-      << "validated shard state rejected by RestoreState for query '"
-      << spec.name << "' (codec bug)";
-  return q;
-}
-
 }  // namespace
 
 std::string ResolveWorkerBinary(const std::string& configured) {
@@ -156,58 +146,77 @@ bool WaitWorker(pid_t pid, std::uint32_t worker_id) {
 
 bool CollectWorkerState(const WorkerLaunch& launch,
                         const std::vector<QuerySpec>& wave_specs,
-                        ShardState* state) {
+                        MappedShardState* state) {
   const ShardWorkerConfig& c = launch.config;
   std::string error;
-  if (!LoadShardState(launch.state_path, state, &error)) {
+  if (!state->Open(launch.state_path, &error)) {
     LOG(WARNING) << "worker " << c.worker_id << ": state file rejected ("
                  << error << ")";
     return false;
   }
-  const ShardHeader& h = state->header;
+  auto reject = [&](const char* why) {
+    LOG(WARNING) << "worker " << c.worker_id << ": " << why;
+    *state = MappedShardState();
+    return false;
+  };
+  const ShardStateView& v = state->view();
+  const ShardHeader& h = v.header;
   if (h.worker_id != c.worker_id || h.num_workers != c.num_workers ||
       h.stream_fingerprint != c.stream_fingerprint ||
       h.stream_length != c.edges.size() ||
       h.spec_fingerprint != c.spec_fingerprint || h.ranges != c.ranges ||
       h.edges_done != TotalRangeEdges(c.ranges) ||
-      state->query_states.size() != wave_specs.size()) {
-    LOG(WARNING) << "worker " << c.worker_id
-                 << ": state header does not match its launch (stale file?)";
-    return false;
+      v.query_states.size() != wave_specs.size()) {
+    return reject("state header does not match its launch (stale file?)");
   }
   for (std::size_t i = 0; i < wave_specs.size(); ++i) {
-    if (state->query_states[i].first != wave_specs[i].name) {
-      LOG(WARNING) << "worker " << c.worker_id
-                   << ": query order mismatch in state file";
-      return false;
+    if (v.query_states[i].first != wave_specs[i].name) {
+      return reject("query order mismatch in state file");
     }
   }
+  state->ReleasePages();
   return true;
+}
+
+std::vector<EdgeQuery> MakeMergeTargets(
+    const std::vector<QuerySpec>& wave_specs) {
+  std::vector<EdgeQuery> targets;
+  targets.reserve(wave_specs.size());
+  for (const QuerySpec& spec : wave_specs) {
+    targets.push_back(MakeEdgeQuery(spec));
+  }
+  return targets;
+}
+
+void FoldShardState(const std::vector<QuerySpec>& wave_specs,
+                    const ShardStateView& state,
+                    std::vector<EdgeQuery>& merged) {
+  CHECK_EQ(state.query_states.size(), wave_specs.size());
+  CHECK_EQ(merged.size(), wave_specs.size());
+  for (std::size_t qi = 0; qi < wave_specs.size(); ++qi) {
+    StateReader r(state.query_states[qi].second);
+    CHECK(merged[qi].algorithm->MergeState(r))
+        << "MergeState rejected a validated shard state for query '"
+        << wave_specs[qi].name << "' (codec bug)";
+  }
+}
+
+void FoldCollectedStates(const std::vector<QuerySpec>& wave_specs,
+                         std::vector<MappedShardState> states,
+                         std::vector<EdgeQuery>& merged) {
+  for (MappedShardState& state : states) {
+    FoldShardState(wave_specs, state.view(), merged);
+    state = MappedShardState();  // Unmap: folded states are not kept.
+  }
 }
 
 std::vector<EdgeQuery> MergeShardStates(
     const std::vector<QuerySpec>& wave_specs,
     const std::vector<ShardState>& states, std::vector<EdgeQuery> base) {
-  std::vector<EdgeQuery> merged = std::move(base);
-  const bool seeded = !merged.empty();
-  CHECK(seeded || !states.empty());
-  for (std::size_t qi = 0; qi < wave_specs.size(); ++qi) {
-    std::size_t first = 0;
-    if (!seeded) {
-      if (qi == 0) merged.reserve(wave_specs.size());
-      if (merged.size() <= qi) {
-        merged.push_back(
-            RestoreQuery(wave_specs[qi], states[0].query_states[qi].second));
-      }
-      first = 1;
-    }
-    for (std::size_t w = first; w < states.size(); ++w) {
-      EdgeQuery scratch =
-          RestoreQuery(wave_specs[qi], states[w].query_states[qi].second);
-      CHECK(merged[qi].algorithm->MergeFrom(*scratch.algorithm))
-          << "MergeFrom rejected a validated shard state for query '"
-          << wave_specs[qi].name << "'";
-    }
+  std::vector<EdgeQuery> merged =
+      base.empty() ? MakeMergeTargets(wave_specs) : std::move(base);
+  for (const ShardState& state : states) {
+    FoldShardState(wave_specs, ViewShardState(state), merged);
   }
   return merged;
 }
@@ -222,10 +231,11 @@ void RunWorkersToCompletion(std::vector<WorkerLaunch>& launches,
                             const std::vector<QuerySpec>& wave_specs,
                             const ShardPlanOptions& options,
                             const std::string& spec_path,
-                            std::vector<ShardState>* states,
+                            std::vector<MappedShardState>* states,
                             std::uint64_t* launched, std::uint64_t* recovered) {
   const std::size_t w = launches.size();
-  states->assign(w, ShardState{});
+  states->clear();
+  states->resize(w);
   std::vector<char> done(w, 0);
 
   auto run_round = [&](bool recovery) {
@@ -267,6 +277,21 @@ void RunWorkersToCompletion(std::vector<WorkerLaunch>& launches,
   for (std::size_t i = 0; i < w; ++i) {
     CHECK(done[i]) << "shard worker " << i
                    << " failed twice (initial + recovery); giving up";
+  }
+}
+
+// Folds the collected final states into `merged`, then deletes their
+// files: a batch never reads a folded final state again (recovery restarts
+// from the epoch checkpoints), so a run leaves only its checkpoints,
+// manifests and spec files behind. The supervisor keeps its final states —
+// a daemon resume re-collects the waves that finished before a crash.
+void FoldAndRemoveStates(const std::vector<QuerySpec>& wave_specs,
+                         const std::vector<WorkerLaunch>& launches,
+                         std::vector<MappedShardState> states,
+                         std::vector<EdgeQuery>& merged) {
+  FoldCollectedStates(wave_specs, std::move(states), merged);
+  for (const WorkerLaunch& launch : launches) {
+    std::remove(launch.state_path.c_str());
   }
 }
 
@@ -472,12 +497,13 @@ ShardBatchResult RunShardedBatch(const std::vector<QuerySpec>& specs,
           << error;
     }
 
-    std::vector<ShardState> states;
+    std::vector<MappedShardState> states;
     RunWorkersToCompletion(launches, wave_specs, options, spec_path, &states,
                            &result.workers_launched,
                            &result.workers_recovered);
 
-    std::vector<EdgeQuery> merged = MergeShardStates(wave_specs, states, {});
+    std::vector<EdgeQuery> merged = MakeMergeTargets(wave_specs);
+    FoldAndRemoveStates(wave_specs, launches, std::move(states), merged);
     FinalizeShardWave(admitted, wave, edges.size(), merged, result.outcomes,
                       stats);
 
@@ -661,29 +687,24 @@ bool ResumeShardedBatch(const std::string& manifest_path,
   // Fold the surviving per-shard checkpoints (fixed shard order) as the
   // base state, and collect each shard's unprocessed leftover ranges.
   const std::string ckpt_dir = DirName(manifest_path);
-  std::vector<EdgeQuery> base;
-  for (const QuerySpec& spec : wave_specs) base.push_back(MakeEdgeQuery(spec));
+  std::vector<EdgeQuery> merged = MakeMergeTargets(wave_specs);
   std::vector<ShardRange> leftovers;
   for (std::size_t s = 0; s < manifest.worker_ranges.size(); ++s) {
     const std::vector<ShardRange>& ranges = manifest.worker_ranges[s];
     std::uint64_t shard_done = 0;
-    ShardState ckpt;
+    MappedShardState ckpt;
     std::string why;
     const std::string path = ckpt_dir + "/" + manifest.checkpoint_files[s];
-    if (LoadShardState(path, &ckpt, &why)) {
-      const ShardHeader& h = ckpt.header;
+    if (ckpt.Open(path, &why)) {
+      const ShardHeader& h = ckpt.header();
       if (h.worker_id == s && h.num_workers == manifest.num_workers &&
           h.stream_fingerprint == stream_fp &&
           h.stream_length == edges.size() &&
           h.spec_fingerprint == spec_fp && h.ranges == ranges &&
           h.edges_done <= TotalRangeEdges(ranges) &&
-          ckpt.query_states.size() == wave_specs.size()) {
+          ckpt.view().query_states.size() == wave_specs.size()) {
         shard_done = h.edges_done;
-        for (std::size_t qi = 0; qi < wave_specs.size(); ++qi) {
-          EdgeQuery scratch =
-              RestoreQuery(wave_specs[qi], ckpt.query_states[qi].second);
-          CHECK(base[qi].algorithm->MergeFrom(*scratch.algorithm));
-        }
+        FoldShardState(wave_specs, ckpt.view(), merged);
       } else {
         LOG(WARNING) << "shard " << s
                      << ": checkpoint rejected on resume; its whole slice "
@@ -725,12 +746,10 @@ bool ResumeShardedBatch(const std::string& manifest_path,
     launches[i].state_path =
         options.shard_dir + "/resume-s" + std::to_string(i) + ".state";
   }
-  std::vector<ShardState> states;
+  std::vector<MappedShardState> states;
   RunWorkersToCompletion(launches, wave_specs, options, spec_path, &states,
                          &out.workers_launched, &out.workers_recovered);
-
-  std::vector<EdgeQuery> merged =
-      MergeShardStates(wave_specs, states, std::move(base));
+  FoldAndRemoveStates(wave_specs, launches, std::move(states), merged);
   FinalizeShardWave(admitted, /*wave=*/0, edges.size(), merged, out.outcomes,
                     out.stats);
   for (std::size_t slot : admitted) {

@@ -18,7 +18,7 @@ namespace cyclestream::engine {
 /// the stream into W contiguous shard ranges, runs one worker per shard
 /// (in-process for hermetic tests, or `cyclestream_cli shard-worker`
 /// subprocesses), and folds the workers' serialized states in fixed shard
-/// order with the exact-integer MergeFrom path.
+/// order with the exact-integer MergeState path.
 ///
 /// Determinism contract: every query's merged state — and therefore every
 /// estimate, space audit, and deterministic manifest field — is
@@ -170,17 +170,38 @@ std::vector<std::string> BuildWorkerArgv(const std::string& binary,
 /// child exiting 127 — the caller's wait loop treats it as a dead worker.
 pid_t SpawnShardWorker(const std::vector<std::string>& argv);
 
-/// Loads + validates one worker's final state. False (with a warning) on
-/// any damage or mismatch — the caller treats the worker as dead and
-/// relaunches it, so a stale or torn file can delay a run but never
-/// corrupt a merge.
+/// Maps one worker's final state and validates it in place: every frame
+/// and CRC, the footer, and the header and query names against the
+/// launch. False (with a warning) on any damage or mismatch — the caller
+/// treats the worker as dead and relaunches it, so a stale or torn file can
+/// delay a run but never corrupt a merge (a rejected state is unmapped).
+/// On success the mapping's pages are released
+/// (MappedShardState::ReleasePages) until the fold reads them, so
+/// collecting W states does not hold W states in memory.
 bool CollectWorkerState(const WorkerLaunch& launch,
                         const std::vector<QuerySpec>& wave_specs,
-                        ShardState* state);
+                        MappedShardState* state);
 
-/// Folds `states` (fixed order) into one merged query per spec. `base`
-/// queries, when provided, seed the fold (the checkpoint-restore paths);
-/// otherwise shard 0's state is the seed.
+/// One fresh zero-state query per spec: the targets shard states fold into.
+std::vector<EdgeQuery> MakeMergeTargets(
+    const std::vector<QuerySpec>& wave_specs);
+
+/// Folds one validated shard state into `merged` (one query per spec, spec
+/// order) through EdgeStreamAlgorithm::MergeState, straight from the
+/// state's bytes. Aborts if a blob is rejected: the state was validated
+/// against the launch's spec fingerprint, so a rejection is a codec bug.
+void FoldShardState(const std::vector<QuerySpec>& wave_specs,
+                    const ShardStateView& state,
+                    std::vector<EdgeQuery>& merged);
+
+/// Folds collected states in rank order 0..W−1 into `merged`, unmapping
+/// each state once it is folded.
+void FoldCollectedStates(const std::vector<QuerySpec>& wave_specs,
+                         std::vector<MappedShardState> states,
+                         std::vector<EdgeQuery>& merged);
+
+/// Owning-state adapter over FoldShardState: folds `states` in order into
+/// `base`, or into fresh targets when `base` is empty.
 std::vector<EdgeQuery> MergeShardStates(
     const std::vector<QuerySpec>& wave_specs,
     const std::vector<ShardState>& states, std::vector<EdgeQuery> base);

@@ -53,7 +53,7 @@ bool IsEdgeKind(QueryKind kind);
 bool IsTurnstileKind(QueryKind kind);
 
 /// True for kinds whose state is a linear sketch of the edge stream — state
-/// over a partitioned stream merges by addition (MergeFrom) into exactly
+/// over a partitioned stream merges by addition (MergeState) into exactly
 /// the whole-stream state, so the kind can run under the multi-process
 /// shard coordinator. Currently only arb-f2 (Thm 5.7): its per-vertex
 /// accumulators are sums of ±1 / ±1·±1 terms. The others are excluded for

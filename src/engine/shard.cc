@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <thread>
 
 #include "stream/driver.h"
@@ -92,12 +93,111 @@ std::string DescribeWaitStatus(int status) {
   return "unrecognized wait status " + std::to_string(status);
 }
 
+namespace {
+
+// Emits one frame whose payload is the concatenation of `pieces` through
+// `out(std::string_view) -> bool`, stopping at the first false. The CRC
+// runs over the pieces in order, so the bytes equal a frame built over the
+// concatenated payload — without ever concatenating it.
+template <typename Out>
+bool EmitFrame(FrameType type, std::initializer_list<std::string_view> pieces,
+               Out&& out) {
+  std::uint64_t size = 0;
+  Crc32Accumulator crc;
+  for (std::string_view piece : pieces) {
+    size += piece.size();
+    crc.Update(piece.data(), piece.size());
+  }
+  std::string header;
+  header.reserve(kFrameHeaderSize);
+  header.append(kFrameMagic, sizeof(kFrameMagic));
+  PutLE(&header, static_cast<std::uint32_t>(type), 4);
+  PutLE(&header, size, 8);
+  PutLE(&header, crc.Final(), 4);
+  if (!out(std::string_view(header))) return false;
+  for (std::string_view piece : pieces) {
+    if (!piece.empty() && !out(piece)) return false;
+  }
+  return true;
+}
+
+std::string HeaderPayload(const ShardHeader& header, std::size_t num_queries) {
+  StateWriter h;
+  h.U32(header.worker_id);
+  h.U32(header.num_workers);
+  h.U64(header.stream_fingerprint);
+  h.U64(header.stream_length);
+  h.U64(header.spec_fingerprint);
+  h.U64(header.edges_done);
+  h.U64(header.epoch);
+  h.Size(header.ranges.size());
+  for (const ShardRange& r : header.ranges) {
+    h.U64(r.begin);
+    h.U64(r.end);
+  }
+  h.Size(num_queries);
+  return h.Take();
+}
+
+// The whole state file: header frame, one query-state frame per
+// `query(i) -> pair<name, blob>` (payload Str(name) Str(blob), emitted as
+// four pieces so the blob is never copied into a payload), footer frame.
+// `query` is called once per query, in order, and its views need only
+// live until the next call.
+template <typename Query, typename Out>
+bool EmitShardState(const ShardHeader& header, std::size_t num_queries,
+                    Query&& query, Out&& out) {
+  if (!EmitFrame(FrameType::kHeader, {HeaderPayload(header, num_queries)},
+                 out)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < num_queries; ++i) {
+    const auto [name, blob] = query(i);
+    std::string name_size;
+    std::string blob_size;
+    PutLE(&name_size, name.size(), 8);
+    PutLE(&blob_size, blob.size(), 8);
+    if (!EmitFrame(FrameType::kQueryState, {name_size, name, blob_size, blob},
+                   out)) {
+      return false;
+    }
+  }
+  std::string footer;
+  PutLE(&footer, num_queries, 8);
+  return EmitFrame(FrameType::kFooter, {footer}, out);
+}
+
+// Streams a state file through an io::AtomicFileWriter: nothing larger
+// than one query's blob is ever held, and `durable` picks between the
+// checkpoint contract (fsync file + directory) and a plain atomic rename.
+template <typename Query>
+bool WriteShardStateFile(const std::string& path, const ShardHeader& header,
+                         std::size_t num_queries, Query&& query, bool durable,
+                         std::string* error) {
+  io::AtomicFileWriter writer;
+  return writer.Open(path, error) &&
+         EmitShardState(header, num_queries, query,
+                        [&](std::string_view bytes) {
+                          return writer.Write(bytes, error);
+                        }) &&
+         writer.Commit(durable, error);
+}
+
+// EmitShardState's `query` for an owning state.
+auto OwnedQueries(const ShardState& state) {
+  return [&state](std::size_t i) {
+    return std::pair<std::string_view, std::string_view>(
+        state.query_states[i].first, state.query_states[i].second);
+  };
+}
+
+}  // namespace
+
 void AppendFrame(std::string* out, FrameType type, std::string_view payload) {
-  out->append(kFrameMagic, sizeof(kFrameMagic));
-  PutLE(out, static_cast<std::uint32_t>(type), 4);
-  PutLE(out, static_cast<std::uint64_t>(payload.size()), 8);
-  PutLE(out, Crc32(payload), 4);
-  out->append(payload.data(), payload.size());
+  EmitFrame(type, {payload}, [out](std::string_view bytes) {
+    out->append(bytes);
+    return true;
+  });
 }
 
 bool ReadFrame(std::string_view data, std::size_t* pos, FrameType* type,
@@ -182,35 +282,16 @@ std::vector<ShardRange> AdvanceRanges(const std::vector<ShardRange>& ranges,
 
 std::string EncodeShardState(const ShardState& state) {
   std::string out;
-  StateWriter h;
-  h.U32(state.header.worker_id);
-  h.U32(state.header.num_workers);
-  h.U64(state.header.stream_fingerprint);
-  h.U64(state.header.stream_length);
-  h.U64(state.header.spec_fingerprint);
-  h.U64(state.header.edges_done);
-  h.U64(state.header.epoch);
-  h.Size(state.header.ranges.size());
-  for (const ShardRange& r : state.header.ranges) {
-    h.U64(r.begin);
-    h.U64(r.end);
-  }
-  h.Size(state.query_states.size());
-  AppendFrame(&out, FrameType::kHeader, h.str());
-  for (const auto& [name, blob] : state.query_states) {
-    StateWriter q;
-    q.Str(name);
-    q.Str(blob);
-    AppendFrame(&out, FrameType::kQueryState, q.str());
-  }
-  StateWriter f;
-  f.Size(state.query_states.size());
-  AppendFrame(&out, FrameType::kFooter, f.str());
+  EmitShardState(state.header, state.query_states.size(), OwnedQueries(state),
+                 [&out](std::string_view bytes) {
+                   out.append(bytes);
+                   return true;
+                 });
   return out;
 }
 
-bool DecodeShardState(std::string_view encoded, ShardState* state,
-                      std::string* error) {
+bool ParseShardState(std::string_view encoded, ShardStateView* view,
+                     std::string* error) {
   auto reject = [error](const std::string& why) {
     if (error != nullptr) *error = why;
     return false;
@@ -222,63 +303,90 @@ bool DecodeShardState(std::string_view encoded, ShardState* state,
   if (type != FrameType::kHeader) {
     return reject("shard state must start with a header frame");
   }
-  ShardState out;
-  {
-    StateReader r(payload);
-    out.header.worker_id = r.U32();
-    out.header.num_workers = r.U32();
-    out.header.stream_fingerprint = r.U64();
-    out.header.stream_length = r.U64();
-    out.header.spec_fingerprint = r.U64();
-    out.header.edges_done = r.U64();
-    out.header.epoch = r.U64();
-    const std::size_t num_ranges = r.Size();
-    if (!r.ok() || num_ranges > r.Remaining() / 16 + 1) {
-      return reject("shard state header malformed (range count)");
+  ShardStateView out;
+  StateReader r(payload);
+  out.header.worker_id = r.U32();
+  out.header.num_workers = r.U32();
+  out.header.stream_fingerprint = r.U64();
+  out.header.stream_length = r.U64();
+  out.header.spec_fingerprint = r.U64();
+  out.header.edges_done = r.U64();
+  out.header.epoch = r.U64();
+  const std::size_t num_ranges = r.Size();
+  if (!r.ok() || num_ranges > r.Remaining() / 16 + 1) {
+    return reject("shard state header malformed (range count)");
+  }
+  out.header.ranges.reserve(num_ranges);
+  for (std::size_t i = 0; i < num_ranges; ++i) {
+    ShardRange range;
+    range.begin = r.U64();
+    range.end = r.U64();
+    if (range.begin > range.end) {
+      return reject("shard state header malformed (inverted range)");
     }
-    out.header.ranges.reserve(num_ranges);
-    for (std::size_t i = 0; i < num_ranges; ++i) {
-      ShardRange range;
-      range.begin = r.U64();
-      range.end = r.U64();
-      if (range.begin > range.end) {
-        return reject("shard state header malformed (inverted range)");
-      }
-      out.header.ranges.push_back(range);
+    out.header.ranges.push_back(range);
+  }
+  const std::size_t num_queries = r.Size();
+  if (!r.AtEnd()) {
+    return reject("shard state header malformed (trailing bytes)");
+  }
+  // Every query-state frame is at least a frame header plus two length
+  // prefixes: a count the rest of the file cannot hold is rejected before
+  // it sizes an allocation.
+  if (num_queries > (encoded.size() - pos) / (kFrameHeaderSize + 16)) {
+    return reject("shard state header malformed (query count " +
+                  std::to_string(num_queries) + " exceeds the file)");
+  }
+  out.query_states.reserve(num_queries);
+  for (std::size_t i = 0; i < num_queries; ++i) {
+    if (!ReadFrame(encoded, &pos, &type, &payload, error)) return false;
+    if (type != FrameType::kQueryState) {
+      return reject("expected a query-state frame");
     }
-    const std::size_t num_queries = r.Size();
-    if (!r.AtEnd()) {
-      return reject("shard state header malformed (trailing bytes)");
+    StateReader q(payload);
+    const std::string_view name = q.StrView();
+    const std::string_view blob = q.StrView();
+    if (!q.AtEnd()) {
+      return reject("query-state frame malformed (name/blob lengths)");
     }
-    out.query_states.reserve(num_queries);
-    for (std::size_t i = 0; i < num_queries; ++i) {
-      if (!ReadFrame(encoded, &pos, &type, &payload, error)) return false;
-      if (type != FrameType::kQueryState) {
-        return reject("expected a query-state frame");
-      }
-      StateReader q(payload);
-      std::string name = q.Str();
-      std::string blob = q.Str();
-      if (!q.AtEnd()) {
-        return reject("query-state frame malformed (trailing bytes)");
-      }
-      out.query_states.emplace_back(std::move(name), std::move(blob));
-    }
+    out.query_states.emplace_back(name, blob);
   }
   if (!ReadFrame(encoded, &pos, &type, &payload, error)) return false;
   if (type != FrameType::kFooter) {
     return reject("expected a footer frame");
   }
-  {
-    StateReader f(payload);
-    const std::size_t count = f.Size();
-    if (!f.AtEnd() || count != out.query_states.size()) {
-      return reject("footer count disagrees with the query-state frames "
-                    "(truncated or spliced file)");
-    }
+  StateReader f(payload);
+  const std::size_t count = f.Size();
+  if (!f.AtEnd() || count != out.query_states.size()) {
+    return reject("footer count disagrees with the query-state frames "
+                  "(truncated or spliced file)");
   }
   if (pos != encoded.size()) {
     return reject("trailing bytes after the footer frame");
+  }
+  *view = std::move(out);
+  return true;
+}
+
+ShardStateView ViewShardState(const ShardState& state) {
+  ShardStateView view;
+  view.header = state.header;
+  view.query_states.reserve(state.query_states.size());
+  for (const auto& [name, blob] : state.query_states) {
+    view.query_states.emplace_back(name, blob);
+  }
+  return view;
+}
+
+bool DecodeShardState(std::string_view encoded, ShardState* state,
+                      std::string* error) {
+  ShardStateView view;
+  if (!ParseShardState(encoded, &view, error)) return false;
+  ShardState out;
+  out.header = std::move(view.header);
+  out.query_states.reserve(view.query_states.size());
+  for (const auto& [name, blob] : view.query_states) {
+    out.query_states.emplace_back(std::string(name), std::string(blob));
   }
   *state = std::move(out);
   return true;
@@ -289,14 +397,25 @@ bool SaveShardState(const std::string& path, const ShardState& state,
   // Durable atomic write (util/io.h): EINTR-safe, file fsynced before the
   // rename, parent directory fsynced after — a crash right after the
   // rename cannot lose a checkpoint the supervisor is counting on.
-  return io::WriteFileAtomic(path, EncodeShardState(state), error);
+  return WriteShardStateFile(path, state.header, state.query_states.size(),
+                             OwnedQueries(state), /*durable=*/true, error);
 }
 
 bool LoadShardState(const std::string& path, ShardState* state,
                     std::string* error) {
-  std::string encoded;
-  if (!io::ReadFileToString(path, &encoded, error)) return false;
-  return DecodeShardState(encoded, state, error);
+  io::MappedFile file;
+  return file.Open(path, error) &&
+         DecodeShardState(file.bytes(), state, error);
+}
+
+bool MappedShardState::Open(const std::string& path, std::string* error) {
+  view_ = ShardStateView{};
+  if (!file_.Open(path, error)) return false;
+  if (!ParseShardState(file_.bytes(), &view_, error)) {
+    file_ = io::MappedFile();
+    return false;
+  }
+  return true;
 }
 
 bool AppendHeartbeat(const std::string& path, const HeartbeatRecord& record) {
@@ -341,26 +460,31 @@ bool ReadLastHeartbeat(const std::string& path, HeartbeatRecord* record) {
 
 namespace {
 
-// Serializes the live query states into (name, blob) pairs, spec order.
-std::vector<std::pair<std::string, std::string>> CollectQueryStates(
-    const std::vector<QuerySpec>& specs, std::vector<EdgeQuery>& queries) {
-  std::vector<std::pair<std::string, std::string>> states;
-  states.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    StateWriter w;
-    CHECK(queries[i].algorithm->SaveState(w))
+// Writes the live query states as one state file, serializing each query
+// into a single reused buffer right before its frame is streamed out — the
+// only copy of the state bytes the write makes.
+bool WriteWorkerState(const std::string& path, const ShardHeader& header,
+                      const std::vector<QuerySpec>& specs,
+                      const std::vector<EdgeQuery>& queries, bool durable,
+                      std::string* error) {
+  StateWriter buffer;
+  auto query = [&](std::size_t i) {
+    buffer.Clear();
+    CHECK(queries[i].algorithm->SaveState(buffer))
         << "mergeable query '" << specs[i].name
         << "' must support SaveState";
-    states.emplace_back(specs[i].name, w.Take());
-  }
-  return states;
+    return std::pair<std::string_view, std::string_view>(specs[i].name,
+                                                         buffer.str());
+  };
+  return WriteShardStateFile(path, header, queries.size(), query, durable,
+                             error);
 }
 
 // Validates that a checkpoint belongs to exactly this worker configuration
-// and restores every query's state. Returns false (queries untouched — the
-// caller rebuilds them) on any mismatch.
+// and restores every query's state from the mapped file. Returns false on
+// any mismatch, with every query back at its fresh zero state.
 bool TryRestoreCheckpoint(const ShardWorkerConfig& config,
-                          const ShardState& ckpt,
+                          const ShardStateView& ckpt,
                           std::vector<EdgeQuery>& queries,
                           std::uint64_t total_edges, std::string* why) {
   const ShardHeader& h = ckpt.header;
@@ -380,21 +504,20 @@ bool TryRestoreCheckpoint(const ShardWorkerConfig& config,
       return false;
     }
   }
-  // Restore into scratch instances first so a blob that fails validation
-  // midway never leaves the worker half-restored.
-  std::vector<EdgeQuery> restored;
-  restored.reserve(queries.size());
-  for (std::size_t i = 0; i < config.specs.size(); ++i) {
-    EdgeQuery q = MakeEdgeQuery(config.specs[i]);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
     StateReader r(ckpt.query_states[i].second);
-    if (!q.algorithm->RestoreState(r) || !r.AtEnd()) {
+    if (!queries[i].algorithm->RestoreState(r) || !r.AtEnd()) {
       *why = "checkpoint state blob rejected for query '" +
              config.specs[i].name + "'";
+      // Never half-restored: queries [0, i] may hold checkpoint state
+      // (RestoreState validates before it mutates, but a trailing-bytes
+      // failure is seen after it), so rebuild them fresh.
+      for (std::size_t j = 0; j <= i; ++j) {
+        queries[j] = MakeEdgeQuery(config.specs[j]);
+      }
       return false;
     }
-    restored.push_back(std::move(q));
   }
-  queries = std::move(restored);
   return true;
 }
 
@@ -425,18 +548,19 @@ ShardWorkerOutcome RunShardWorker(const ShardWorkerConfig& config,
 
   std::uint64_t done = 0;
   if (config.resume && !config.checkpoint_path.empty()) {
-    ShardState ckpt;
+    MappedShardState ckpt;
     std::string why;
-    if (!LoadShardState(config.checkpoint_path, &ckpt, &why)) {
+    if (!ckpt.Open(config.checkpoint_path, &why)) {
       LOG(WARNING) << "worker " << config.worker_id
                    << ": no usable checkpoint (" << why
                    << "); starting from scratch";
-    } else if (!TryRestoreCheckpoint(config, ckpt, queries, total, &why)) {
+    } else if (!TryRestoreCheckpoint(config, ckpt.view(), queries, total,
+                                     &why)) {
       LOG(WARNING) << "worker " << config.worker_id
                    << ": checkpoint rejected (" << why
                    << "); starting from scratch";
     } else {
-      done = ckpt.header.edges_done;
+      done = ckpt.header().edges_done;
       out.resumed = true;
     }
   }
@@ -469,19 +593,24 @@ ShardWorkerOutcome RunShardWorker(const ShardWorkerConfig& config,
   };
   beat();  // Launch beacon: the watchdog sees liveness before edge 1.
 
+  auto header_at = [&](std::uint64_t edges_done) {
+    ShardHeader h;
+    h.worker_id = config.worker_id;
+    h.num_workers = config.num_workers;
+    h.stream_fingerprint = config.stream_fingerprint;
+    h.stream_length = stream_length;
+    h.spec_fingerprint = config.spec_fingerprint;
+    h.edges_done = edges_done;
+    h.epoch = epoch > 0 ? edges_done / epoch : 0;
+    h.ranges = config.ranges;
+    return h;
+  };
+
   auto write_checkpoint = [&]() -> bool {
-    ShardState state;
-    state.header.worker_id = config.worker_id;
-    state.header.num_workers = config.num_workers;
-    state.header.stream_fingerprint = config.stream_fingerprint;
-    state.header.stream_length = stream_length;
-    state.header.spec_fingerprint = config.spec_fingerprint;
-    state.header.edges_done = done;
-    state.header.epoch = epoch > 0 ? done / epoch : 0;
-    state.header.ranges = config.ranges;
-    state.query_states = CollectQueryStates(config.specs, queries);
+    // Checkpoints are recovery roots: durable (file + directory fsync).
     std::string why;
-    if (!SaveShardState(config.checkpoint_path, state, &why)) {
+    if (!WriteWorkerState(config.checkpoint_path, header_at(done),
+                          config.specs, queries, /*durable=*/true, &why)) {
       LOG(WARNING) << "worker " << config.worker_id
                    << ": checkpoint write failed (" << why << ")";
       return false;
@@ -556,17 +685,11 @@ ShardWorkerOutcome RunShardWorker(const ShardWorkerConfig& config,
 
   for (EdgeQuery& q : queries) q.algorithm->EndPass(0);
 
-  ShardState final_state;
-  final_state.header.worker_id = config.worker_id;
-  final_state.header.num_workers = config.num_workers;
-  final_state.header.stream_fingerprint = config.stream_fingerprint;
-  final_state.header.stream_length = stream_length;
-  final_state.header.spec_fingerprint = config.spec_fingerprint;
-  final_state.header.edges_done = total;
-  final_state.header.epoch = epoch > 0 ? total / epoch : 0;
-  final_state.header.ranges = config.ranges;
-  final_state.query_states = CollectQueryStates(config.specs, queries);
-  if (!SaveShardState(state_out_path, final_state, error)) {
+  // The final state is atomic (tmp + rename) but not fsynced: it is a
+  // hand-off to the coordinator, not a recovery root. A file torn by a
+  // power loss fails its CRC on collection and the shard is re-run.
+  if (!WriteWorkerState(state_out_path, header_at(total), config.specs,
+                        queries, /*durable=*/false, error)) {
     out.edges_done = done;
     return out;
   }

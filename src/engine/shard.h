@@ -11,6 +11,7 @@
 
 #include "engine/query.h"
 #include "graph/types.h"
+#include "util/io.h"
 
 namespace cyclestream::engine {
 
@@ -119,17 +120,35 @@ struct ShardState {
   std::vector<std::pair<std::string, std::string>> query_states;
 };
 
+/// A shard state decoded in place: the header, and each query's name and
+/// SaveState blob as views into the encoded bytes (valid while they are).
+struct ShardStateView {
+  ShardHeader header;
+  std::vector<std::pair<std::string_view, std::string_view>> query_states;
+};
+
+/// The one strict decoder behind every shard state read (the owning
+/// DecodeShardState/LoadShardState and the mapped MappedShardState):
+/// header/state/footer frame sequence, CRC per frame, footer count must
+/// match, no trailing bytes. Returns false with `*error` set on any damage;
+/// `*view` is untouched in that case.
+bool ParseShardState(std::string_view encoded, ShardStateView* view,
+                     std::string* error);
+
+/// Views an owning state as a ShardStateView (no copy).
+ShardStateView ViewShardState(const ShardState& state);
+
 /// Encodes to the frame sequence described above.
 std::string EncodeShardState(const ShardState& state);
 
-/// Strict decode: header/state/footer frame sequence, CRC per frame, footer
-/// count must match, no trailing bytes. Returns false with `*error` set on
-/// any damage; `*state` is untouched in that case.
+/// ParseShardState, then copies the views into `*state`. `*state` is
+/// untouched on failure.
 bool DecodeShardState(std::string_view encoded, ShardState* state,
                       std::string* error);
 
-/// Atomic write (tmp + rename, like SaveSnapshot): a crash mid-write never
-/// leaves a torn file where a previous good checkpoint was.
+/// Durable atomic write (io::WriteFileAtomic semantics, streamed frame by
+/// frame): a crash mid-write never leaves a torn file where a previous good
+/// checkpoint was.
 bool SaveShardState(const std::string& path, const ShardState& state,
                     std::string* error);
 
@@ -137,6 +156,27 @@ bool SaveShardState(const std::string& path, const ShardState& state,
 /// unreadable, or malformed.
 bool LoadShardState(const std::string& path, ShardState* state,
                     std::string* error);
+
+/// A shard state file mapped read-only and strictly decoded in place — the
+/// coordinator's read path. No copy of the file is made: the query blobs
+/// are folded into the merged state straight from the mapping
+/// (EdgeStreamAlgorithm::MergeState).
+class MappedShardState {
+ public:
+  /// Maps `path` and runs ParseShardState over it. False with `*error` set
+  /// (and the object left empty) if the file is missing or malformed.
+  bool Open(const std::string& path, std::string* error);
+
+  const ShardStateView& view() const { return view_; }
+  const ShardHeader& header() const { return view_.header; }
+
+  /// See io::MappedFile::ReleasePages: the views stay valid.
+  void ReleasePages() const { file_.ReleasePages(); }
+
+ private:
+  io::MappedFile file_;
+  ShardStateView view_;
+};
 
 // ---------------------------------------------------------------------------
 // Heartbeats

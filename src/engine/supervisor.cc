@@ -159,7 +159,7 @@ bool FileExists(const std::string& path) {
 // workers were satisfied without launching anything.
 std::size_t CollectExisting(const std::vector<WorkerLaunch>& launches,
                             const std::vector<QuerySpec>& wave_specs,
-                            std::vector<ShardState>* states,
+                            std::vector<MappedShardState>* states,
                             std::vector<char>* done,
                             SupervisorCounters* counters) {
   std::size_t collected = 0;
@@ -209,10 +209,11 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
                              const SupervisorOptions& options,
                              const std::string& spec_path, int wave,
                              bool batch_resume,
-                             std::vector<ShardState>* states,
+                             std::vector<MappedShardState>* states,
                              SupervisorCounters* counters) {
   const std::size_t w = launches.size();
-  states->assign(w, ShardState{});
+  states->clear();
+  states->resize(w);
   std::vector<char> done(w, 0);
   if (batch_resume) {
     CollectExisting(launches, wave_specs, states, &done, counters);
@@ -382,10 +383,11 @@ WaveStatus RunWaveInProcess(std::vector<WorkerLaunch>& launches,
                             const std::vector<QuerySpec>& wave_specs,
                             const SupervisorOptions& options, int wave,
                             bool batch_resume,
-                            std::vector<ShardState>* states,
+                            std::vector<MappedShardState>* states,
                             SupervisorCounters* counters) {
   const std::size_t w = launches.size();
-  states->assign(w, ShardState{});
+  states->clear();
+  states->resize(w);
   std::vector<char> done(w, 0);
   if (batch_resume) {
     CollectExisting(launches, wave_specs, states, &done, counters);
@@ -761,7 +763,7 @@ bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
       break;
     }
 
-    std::vector<ShardState> states;
+    std::vector<MappedShardState> states;
     const WaveStatus status =
         subprocess
             ? RunWaveSubprocess(launches, wave_specs, options, spec_path,
@@ -796,7 +798,8 @@ bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
       continue;  // The daemon outlives the wave.
     }
 
-    std::vector<EdgeQuery> merged = MergeShardStates(wave_specs, states, {});
+    std::vector<EdgeQuery> merged = MakeMergeTargets(wave_specs);
+    FoldCollectedStates(wave_specs, std::move(states), merged);
     FinalizeShardWave(admitted, wave, edges.size(), merged, out.outcomes,
                       stats);
     ++out.counters.waves_completed;

@@ -87,21 +87,23 @@ class EdgeStreamAlgorithm {
     return false;
   }
 
-  /// Folds another instance's stream-dependent state into this one, as if
-  /// this instance had also processed every element `other` did. Only
-  /// *linear* algorithms can implement it (state = a sum over stream
-  /// elements, so shard-local states over a partitioned stream combine by
-  /// addition into exactly the single-machine state); the shard coordinator
-  /// uses it to fold worker states in fixed shard order. An override must
-  /// (a) verify `other` is the same algorithm with result-identical
-  /// configuration (same CheckpointId, seed, dimensions — via the same
-  /// fields RestoreState fingerprints) and return false otherwise, leaving
-  /// this instance untouched, and (b) be exact: for the sketches here every
-  /// accumulator slot is an exact integer well under 2^53, so the fold is
-  /// integer addition in doubles — associative, and bit-identical to the
-  /// unsharded run at any shard count. Default: not mergeable.
-  virtual bool MergeFrom(const EdgeStreamAlgorithm& other) {
-    (void)other;
+  /// Folds the state another instance saved (`r` holds exactly one
+  /// SaveState blob) into this one, as if this instance had also processed
+  /// every element that instance did — read straight from the blob's bytes,
+  /// without materializing a second instance. Only *linear* algorithms can
+  /// implement it (state = a sum over stream elements, so shard-local
+  /// states over a partitioned stream combine by addition into exactly the
+  /// single-machine state); the shard coordinator uses it to fold worker
+  /// states in fixed shard order from their mapped files. An override must
+  /// (a) validate everything RestoreState validates (the config fields —
+  /// seed, dimensions — and exact sizes, with nothing trailing) before it
+  /// mutates, returning false and leaving this instance untouched on any
+  /// mismatch, and (b) be exact: for the sketches here every accumulator
+  /// slot is an exact integer well under 2^53, so the fold is integer
+  /// addition in doubles — associative, and bit-identical to the unsharded
+  /// run at any shard count. Default: not mergeable.
+  virtual bool MergeState(StateReader& r) {
+    (void)r;
     return false;
   }
 };

@@ -114,8 +114,11 @@ class TurnstileStreamAlgorithm {
     return false;
   }
 
-  /// See EdgeStreamAlgorithm::MergeFrom: linear state over a partitioned
-  /// stream folds by addition into exactly the whole-stream state.
+  /// Folds `other`'s state into this one (see EdgeStreamAlgorithm::
+  /// MergeState): linear state over a partitioned stream folds by addition
+  /// into exactly the whole-stream state. False, with this instance
+  /// untouched, unless `other` is the same kind with identical
+  /// result-affecting configuration.
   virtual bool MergeFrom(const TurnstileStreamAlgorithm& other) {
     (void)other;
     return false;

@@ -8,8 +8,11 @@
 namespace cyclestream {
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320 polynomial) over `data`.
-/// Guards the checkpoint snapshots (stream/checkpoint) and the binary
-/// edge-stream files (graph/binary_io) against torn writes and bit rot.
+/// Guards the checkpoint snapshots (stream/checkpoint), the shard state
+/// frames (engine/shard) and the binary edge-stream files
+/// (graph/binary_io) against torn writes and bit rot. Portable
+/// slice-by-16 tables: sixteen bytes per step, same values as the
+/// byte-at-a-time definition.
 std::uint32_t Crc32(std::string_view data);
 
 /// Incremental CRC-32 for writers that stream their payload (edge2bin

@@ -1,11 +1,14 @@
 #include "util/io.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace cyclestream::io {
 namespace {
@@ -127,54 +130,135 @@ bool ReadFileToString(const std::string& path, std::string* out,
     if (error != nullptr) *error = "cannot open " + path;
     return false;
   }
-  std::string data;
-  char buf[1 << 16];
-  for (;;) {
-    std::size_t got = 0;
-    if (!ReadFull(fd, buf, sizeof(buf), &got)) {
-      if (error != nullptr) *error = "I/O error reading " + path;
-      CloseQuiet(fd);
-      return false;
-    }
-    data.append(buf, got);
-    if (got < sizeof(buf)) break;  // EOF.
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    if (error != nullptr) *error = "cannot stat " + path;
+    CloseQuiet(fd);
+    return false;
+  }
+  std::string data(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  if (!ReadFull(fd, data.data(), data.size(), &got)) {
+    if (error != nullptr) *error = "I/O error reading " + path;
+    CloseQuiet(fd);
+    return false;
   }
   CloseQuiet(fd);
+  data.resize(got);  // The file shrank after the fstat.
   *out = std::move(data);
   return true;
 }
 
-bool WriteFileAtomic(const std::string& path, std::string_view data,
-                     std::string* error) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      OpenRetry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    if (error != nullptr) *error = "cannot open " + tmp + " for writing";
+AtomicFileWriter::~AtomicFileWriter() { Abandon(); }
+
+void AtomicFileWriter::Abandon() {
+  if (fd_ < 0) return;
+  CloseQuiet(fd_);
+  fd_ = -1;
+  std::remove(tmp_.c_str());
+}
+
+bool AtomicFileWriter::Open(const std::string& path, std::string* error) {
+  Abandon();
+  path_ = path;
+  tmp_ = path + ".tmp";
+  fd_ = OpenRetry(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                  0644);
+  if (fd_ < 0) {
+    if (error != nullptr) *error = "cannot open " + tmp_ + " for writing";
     return false;
   }
-  if (!WriteFull(fd, data.data(), data.size())) {
-    if (error != nullptr) *error = "write failed for " + tmp;
-    CloseQuiet(fd);
-    std::remove(tmp.c_str());
+  return true;
+}
+
+bool AtomicFileWriter::Write(std::string_view data, std::string* error) {
+  if (!WriteFull(fd_, data.data(), data.size())) {
+    if (error != nullptr) *error = "write failed for " + tmp_;
+    Abandon();
     return false;
   }
-  if (!FsyncFd(fd, tmp)) {
-    if (error != nullptr) *error = "fsync failed for " + tmp;
-    CloseQuiet(fd);
-    std::remove(tmp.c_str());
+  return true;
+}
+
+bool AtomicFileWriter::Commit(bool durable, std::string* error) {
+  if (durable && !FsyncFd(fd_, tmp_)) {
+    if (error != nullptr) *error = "fsync failed for " + tmp_;
+    Abandon();
     return false;
   }
-  CloseQuiet(fd);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (error != nullptr) *error = "rename " + tmp + " -> " + path + " failed";
-    std::remove(tmp.c_str());
+  CloseQuiet(fd_);
+  fd_ = -1;
+  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    if (error != nullptr) {
+      *error = "rename " + tmp_ + " -> " + path_ + " failed";
+    }
+    std::remove(tmp_.c_str());
     return false;
   }
   // The rename made the content visible; the directory fsync makes it
   // durable. Failing here is a durability loss, not an atomicity one — the
   // new file is in place — so report it honestly and let the caller decide.
-  return FsyncParentDir(path, error);
+  return !durable || FsyncParentDir(path_, error);
+}
+
+bool WriteFileAtomic(const std::string& path, std::string_view data,
+                     std::string* error) {
+  AtomicFileWriter writer;
+  return writer.Open(path, error) && writer.Write(data, error) &&
+         writer.Commit(/*durable=*/true, error);
+}
+
+MappedFile::~MappedFile() { Close(); }
+
+MappedFile::MappedFile(MappedFile&& other) noexcept
+    : map_(std::exchange(other.map_, nullptr)),
+      size_(std::exchange(other.size_, 0)) {}
+
+MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
+  if (this != &other) {
+    Close();
+    map_ = std::exchange(other.map_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+  }
+  return *this;
+}
+
+void MappedFile::Close() {
+  if (map_ != nullptr) ::munmap(map_, size_);
+  map_ = nullptr;
+  size_ = 0;
+}
+
+bool MappedFile::Open(const std::string& path, std::string* error) {
+  Close();
+  const int fd = OpenRetry(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (error != nullptr) *error = "cannot open " + path;
+    return false;
+  }
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    if (error != nullptr) *error = "cannot stat " + path;
+    CloseQuiet(fd);
+    return false;
+  }
+  const auto size = static_cast<std::size_t>(st.st_size);
+  if (size > 0) {
+    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map == MAP_FAILED) {
+      if (error != nullptr) *error = "mmap failed for " + path;
+      CloseQuiet(fd);
+      return false;
+    }
+    map_ = map;
+    size_ = size;
+  }
+  CloseQuiet(fd);  // The mapping keeps the file alive.
+  return true;
+}
+
+void MappedFile::ReleasePages() const {
+  if (map_ != nullptr) ::madvise(map_, size_, MADV_DONTNEED);
 }
 
 bool AppendToFile(const std::string& path, std::string_view data,

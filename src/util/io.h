@@ -58,17 +58,83 @@ std::string DirName(const std::string& path);
 /// rename into that directory durable. False with `*error` set on failure.
 bool FsyncParentDir(const std::string& path, std::string* error);
 
-/// Reads a whole file (EINTR-safe). False with `*error` set if the file
-/// cannot be opened or a read fails.
+/// Reads a whole file (EINTR-safe): sized by fstat, then one ReadFull into
+/// a buffer of that size. The result is the file as of the open — bytes a
+/// concurrent appender adds afterwards are not read, and a file that
+/// shrinks meanwhile yields the bytes that were there. False with `*error`
+/// set if the file cannot be opened or a read fails.
 bool ReadFileToString(const std::string& path, std::string* out,
                       std::string* error);
 
+/// Streaming atomic write: Open stages `path.tmp`, Write appends to it
+/// (WriteFull), Commit renames it over `path`. The rename is atomic either
+/// way: a reader sees the old file or the whole new one. With `durable`,
+/// Commit also fsyncs the file before the rename and the parent directory
+/// after it, so a power loss cannot lose or tear a committed file. Without
+/// it, a power loss may leave `path` torn or missing — acceptable only for
+/// CRC-guarded outputs whose loss costs a rerun, never for recovery roots.
+/// Every failure removes the tmp file and sets `*error`; a writer
+/// destroyed before Commit removes it too. Write and Commit belong after a
+/// successful Open, and after no failed call.
+class AtomicFileWriter {
+ public:
+  AtomicFileWriter() = default;
+  ~AtomicFileWriter();
+  AtomicFileWriter(const AtomicFileWriter&) = delete;
+  AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
+
+  bool Open(const std::string& path, std::string* error);
+  bool Write(std::string_view data, std::string* error);
+  bool Commit(bool durable, std::string* error);
+
+ private:
+  void Abandon();
+
+  std::string path_;
+  std::string tmp_;
+  int fd_ = -1;
+};
+
 /// Durable atomic write: `path.tmp` + WriteFull + fsync(file) + rename +
-/// fsync(parent). A crash at any point leaves either the old file or the
-/// new one, never a torn or missing entry. False with `*error` set (and the
-/// tmp file removed) on any failure.
+/// fsync(parent) — AtomicFileWriter with durable=true. A crash at any point
+/// leaves either the old file or the new one, never a torn or missing
+/// entry. False with `*error` set (and the tmp file removed) on any
+/// failure.
 bool WriteFileAtomic(const std::string& path, std::string_view data,
                      std::string* error);
+
+/// A whole file mapped read-only (MAP_PRIVATE), for decoders that walk
+/// large files in place instead of copying them into a buffer. Move-only;
+/// unmaps on destruction. An empty file maps to an empty view.
+class MappedFile {
+ public:
+  MappedFile() = default;
+  ~MappedFile();
+  MappedFile(MappedFile&& other) noexcept;
+  MappedFile& operator=(MappedFile&& other) noexcept;
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+
+  /// Maps `path`, replacing any previous mapping. False with `*error` set
+  /// if it cannot be opened, stat'ed or mapped.
+  bool Open(const std::string& path, std::string* error);
+
+  std::string_view bytes() const {
+    return {static_cast<const char*>(map_), size_};
+  }
+
+  /// Drops the mapping's resident pages from this process (MADV_DONTNEED);
+  /// they stay in the page cache, and the next read of bytes() faults them
+  /// back in from the same file. Lets a caller keep several validated
+  /// mappings open while holding the pages of only the one it is reading.
+  void ReleasePages() const;
+
+ private:
+  void Close();
+
+  void* map_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 /// O_APPEND + WriteFull, creating the file if needed — the heartbeat
 /// append path. Not fsynced: heartbeats are liveness signals, not durable

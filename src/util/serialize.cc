@@ -18,20 +18,15 @@ double StateReader::Double() {
   return v;
 }
 
-std::string StateReader::Str() {
+std::string_view StateReader::StrView() {
   const std::size_t n = Size();
   if (!ok_ || n > Remaining()) {
     Fail();
     return {};
   }
-  std::string s(data_.substr(pos_, n));
+  const std::string_view s = data_.substr(pos_, n);
   pos_ += n;
   return s;
-}
-
-void StateReader::CopyOut(void* dst, std::size_t n) {
-  std::memcpy(dst, data_.data() + pos_, n);
-  pos_ += n;
 }
 
 }  // namespace cyclestream

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -48,6 +49,9 @@ class StateWriter {
 
   const std::string& str() const { return buf_; }
   std::string Take() { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, so one writer can be
+  /// reused across SaveState calls of the same size without regrowing.
+  void Clear() { buf_.clear(); }
 
  private:
   void AppendLE(std::uint64_t v, int bytes) {
@@ -73,20 +77,34 @@ class StateReader {
   std::size_t Size() { return static_cast<std::size_t>(U64()); }
   bool Bool() { return U8() != 0; }
   double Double();
-  std::string Str();
+  std::string Str() { return std::string(StrView()); }
+  /// Zero-copy Str: a view into the reader's buffer.
+  std::string_view StrView();
 
   /// Bounded trivially-copyable vector read. `max_bytes` caps the
   /// allocation a corrupt length field can trigger.
   template <typename T>
   bool Vec(std::vector<T>* out, std::size_t max_bytes = kDefaultMaxBytes) {
+    std::string_view bytes;
+    if (!VecBytes<T>(&bytes, max_bytes)) return false;
+    out->resize(bytes.size() / sizeof(T));
+    if (!bytes.empty()) std::memcpy(out->data(), bytes.data(), bytes.size());
+    return true;
+  }
+  /// Zero-copy counterpart of Vec: the same bounded length check, but the
+  /// element bytes (little-endian, unaligned) are returned as a view into
+  /// the reader's buffer instead of being copied out.
+  template <typename T>
+  bool VecBytes(std::string_view* out,
+                std::size_t max_bytes = kDefaultMaxBytes) {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::size_t n = Size();
     if (!ok_ || n > max_bytes / sizeof(T) || n * sizeof(T) > Remaining()) {
       return Fail();
     }
-    out->resize(n);
-    if (n > 0) CopyOut(out->data(), n * sizeof(T));
-    return ok_;
+    *out = data_.substr(pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
+    return true;
   }
   bool VecBool(std::vector<bool>* out,
                std::size_t max_elems = kDefaultMaxBytes) {
@@ -124,8 +142,6 @@ class StateReader {
     pos_ += static_cast<std::size_t>(bytes);
     return v;
   }
-  void CopyOut(void* dst, std::size_t n);
-
   std::string_view data_;
   std::size_t pos_ = 0;
   bool ok_ = true;

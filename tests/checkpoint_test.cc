@@ -7,6 +7,7 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "baselines/triest.h"
 #include "core/arb_f2_counter.h"
@@ -50,6 +51,67 @@ TEST(Crc32Test, KnownVector) {
   // The IEEE 802.3 check value for the standard "123456789" test string.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+}
+
+// The textbook bit-at-a-time CRC-32 (reflected 0xEDB88320): the reference
+// the table-driven implementation must match on every input.
+std::uint32_t BitwiseCrc32(std::string_view data) {
+  std::uint32_t crc = 0xffffffffu;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::string CrcTestBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string data(n, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next() & 0xff);
+  return data;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..300 cover the byte tail alone, one and many 16-byte slices,
+  // and every tail length after them; offsets 0..15 put the slices at
+  // every alignment.
+  const std::string buffer = CrcTestBytes(300 + 16, 11);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::string_view data(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32(data), BitwiseCrc32(data))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  const std::string big = CrcTestBytes(std::size_t{1} << 20, 12);
+  EXPECT_EQ(Crc32(big), BitwiseCrc32(big));
+}
+
+TEST(Crc32Test, AccumulatorEqualsOneShotAtAnySplit) {
+  const std::string data = CrcTestBytes(5000, 13);
+  const std::uint32_t want = Crc32(data);
+  Rng rng(14);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Random cut points, including empty pieces and pieces that straddle
+    // the 16-byte slice boundaries.
+    Crc32Accumulator crc;
+    std::size_t pos = 0;
+    while (pos < data.size()) {
+      const std::size_t piece = std::min<std::size_t>(
+          data.size() - pos, rng.Next() % (trial % 2 == 0 ? 40 : 700));
+      crc.Update(data.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(crc.Final(), want) << "trial " << trial;
+  }
+  // Final() does not consume: further updates continue the same CRC.
+  Crc32Accumulator crc;
+  crc.Update(data.data(), 100);
+  EXPECT_EQ(crc.Final(), Crc32(std::string_view(data).substr(0, 100)));
+  crc.Update(data.data() + 100, data.size() - 100);
+  EXPECT_EQ(crc.Final(), want);
 }
 
 TEST(SnapshotCodecTest, RoundTrip) {

@@ -10,6 +10,8 @@
 #include <cstddef>
 #include <filesystem>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -108,6 +110,102 @@ TEST(IoTest, ReadFileToStringReportsMissingFile) {
   std::string error;
   EXPECT_FALSE(
       ReadFileToString(TestDir("missing") + "/nope", &out, &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+}
+
+// ReadFileToString sizes its buffer with fstat and issues one ReadFull:
+// on a multi-MB file under short reads and EINTR the resume loop inside
+// ReadFull must still deliver every byte.
+TEST(IoTest, ReadFileToStringSizedReadSurvivesShortReadsAndEintr) {
+  const std::string path = TestDir("read_sized") + "/data";
+  const std::string want = PatternBytes((std::size_t{3} << 20) + 17);
+  std::string error;
+  ASSERT_TRUE(WriteFileAtomic(path, want, &error)) << error;
+
+  SyscallFaults faults;
+  faults.eintr_reads = 12;
+  faults.short_read_cap = 4093;  // ~770 partial transfers.
+  std::string got;
+  {
+    ScopedFaults scoped(&faults);
+    ASSERT_TRUE(ReadFileToString(path, &got, &error)) << error;
+  }
+  EXPECT_EQ(faults.eintr_reads, 0) << "EINTR budget not consumed";
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_EQ(got, want);
+
+  // Empty files read as empty strings.
+  ASSERT_TRUE(WriteFileAtomic(path, "", &error)) << error;
+  got = "stale";
+  ASSERT_TRUE(ReadFileToString(path, &got, &error)) << error;
+  EXPECT_TRUE(got.empty());
+}
+
+// Without durability the streaming writer is still atomic (tmp + rename)
+// but issues no fsync at all; with it, the WriteFileAtomic sequence.
+TEST(IoTest, AtomicFileWriterFsyncsOnlyWhenDurable) {
+  const std::string dir = TestDir("writer");
+  const std::string path = dir + "/out.bin";
+  const std::string want = PatternBytes(9000);
+  for (const bool durable : {false, true}) {
+    SyscallFaults faults;
+    faults.short_write_cap = 1000;
+    std::string error;
+    {
+      ScopedFaults scoped(&faults);
+      AtomicFileWriter writer;
+      ASSERT_TRUE(writer.Open(path, &error)) << error;
+      ASSERT_TRUE(writer.Write(std::string_view(want).substr(0, 4000), &error));
+      ASSERT_TRUE(writer.Write(std::string_view(want).substr(4000), &error));
+      ASSERT_TRUE(writer.Commit(durable, &error)) << error;
+    }
+    if (durable) {
+      EXPECT_EQ(faults.fsynced,
+                (std::vector<std::string>{path + ".tmp", dir}));
+    } else {
+      EXPECT_TRUE(faults.fsynced.empty());
+    }
+    std::string got;
+    ASSERT_TRUE(ReadFileToString(path, &got, &error)) << error;
+    EXPECT_EQ(got, want);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  }
+}
+
+TEST(IoTest, AtomicFileWriterAbandonedBeforeCommitKeepsTheOldFile) {
+  const std::string path = TestDir("writer_abandon") + "/out.bin";
+  std::string error;
+  ASSERT_TRUE(WriteFileAtomic(path, "old contents", &error)) << error;
+  {
+    AtomicFileWriter writer;
+    ASSERT_TRUE(writer.Open(path, &error)) << error;
+    ASSERT_TRUE(writer.Write("half of a new file", &error)) << error;
+  }  // Destroyed without Commit.
+  std::string got;
+  ASSERT_TRUE(ReadFileToString(path, &got, &error)) << error;
+  EXPECT_EQ(got, "old contents");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(IoTest, MappedFileViewsTheWholeFile) {
+  const std::string dir = TestDir("mapped");
+  const std::string want = PatternBytes(100000);
+  std::string error;
+  ASSERT_TRUE(WriteFileAtomic(dir + "/data", want, &error)) << error;
+  MappedFile file;
+  ASSERT_TRUE(file.Open(dir + "/data", &error)) << error;
+  EXPECT_EQ(file.bytes(), want);
+  // Released pages fault back in from the same file.
+  file.ReleasePages();
+  EXPECT_EQ(file.bytes(), want);
+  MappedFile moved = std::move(file);
+  EXPECT_EQ(moved.bytes(), want);
+  EXPECT_TRUE(file.bytes().empty());
+
+  ASSERT_TRUE(WriteFileAtomic(dir + "/empty", "", &error)) << error;
+  ASSERT_TRUE(moved.Open(dir + "/empty", &error)) << error;
+  EXPECT_TRUE(moved.bytes().empty());
+  EXPECT_FALSE(moved.Open(dir + "/missing", &error));
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 

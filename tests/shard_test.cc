@@ -7,12 +7,14 @@
 // boundary and after a W-change restore from an epoch manifest.
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/arb_f2_counter.h"
 #include "engine/broker.h"
 #include "engine/coordinator.h"
 #include "engine/query.h"
@@ -22,6 +24,7 @@
 #include "gtest/gtest.h"
 #include "stream/checkpoint.h"
 #include "stream/order.h"
+#include "util/io.h"
 #include "util/serialize.h"
 
 namespace cyclestream::engine {
@@ -343,6 +346,18 @@ ShardPlanOptions PlanFor(const std::string& dir, int workers) {
   return options;
 }
 
+// Final state files left in `dir`. A batch folds each wave's final states
+// and deletes them; nothing reads them again.
+std::vector<std::string> LeftoverStateFiles(const std::string& dir) {
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".state") {
+      left.push_back(entry.path().filename().string());
+    }
+  }
+  return left;
+}
+
 TEST(CoordinatorTest, BitIdenticalToBrokerAtEveryWorkerCount) {
   VertexId n = 0;
   const EdgeStream stream = ShardStream(&n);
@@ -368,6 +383,7 @@ TEST(CoordinatorTest, BitIdenticalToBrokerAtEveryWorkerCount) {
     ExpectOutcomesIdentical(oracle, result.outcomes);
     ExpectStatsIdentical(broker_stats, result.stats);
     EXPECT_EQ(result.workers_recovered, 0u);
+    EXPECT_EQ(LeftoverStateFiles(options.shard_dir).size(), 0u);
   }
 }
 
@@ -514,6 +530,7 @@ TEST(CoordinatorTest, CheckpointAtW4RestoresAtOtherWorkerCounts) {
     EXPECT_TRUE(result.resumed);
     ExpectOutcomesIdentical(oracle, result.outcomes);
     ExpectStatsIdentical(broker_stats, result.stats);
+    EXPECT_EQ(LeftoverStateFiles(restore.shard_dir).size(), 0u);
   }
 }
 
@@ -660,56 +677,161 @@ TEST(ShardWorkerTest, ResumeFromRejectedCheckpointFallsBackToScratch) {
   EXPECT_EQ(outcome.edges_done, 60u);
 }
 
-// ---------------------------------------------------------------------------
-// MergeFrom (the linearity primitive itself)
-// ---------------------------------------------------------------------------
-
-TEST(MergeFromTest, TwoHalvesMergeBitIdenticalToFullRun) {
+// Durability is for recovery roots only. A final state file is a hand-off
+// to the coordinator: atomic (tmp + rename) but never fsynced, since a
+// torn one fails its CRC and the shard re-runs. Every epoch checkpoint and
+// the epoch manifest still get the full sequence: fsync(tmp file), then
+// fsync(parent directory).
+TEST(ShardWorkerTest, OnlyCheckpointsAndTheEpochManifestAreFsynced) {
   VertexId n = 0;
-  const EdgeStream stream = ShardStream(&n);
-  QuerySpec spec = MixedShardSpecs(n)[0];
+  EdgeStream stream = ShardStream(&n);
+  stream.resize(100);
+  std::vector<QuerySpec> specs = MixedShardSpecs(n);
+  specs.resize(2);
+  for (QuerySpec& spec : specs) spec.space_budget_words = 0;
 
-  EdgeQuery full = MakeEdgeQuery(spec);
-  full.algorithm->StartPass(0, stream.size());
-  full.algorithm->ProcessEdgeBlock(0, stream, 0);
-  full.algorithm->EndPass(0);
+  {
+    const std::string dir = TestDir("fsync_final_only");
+    ShardWorkerConfig config;
+    config.specs = specs;
+    config.edges = stream;
+    config.ranges = {{0, 100}};
+    config.stream_fingerprint = FingerprintEdgeStream(stream);
+    config.spec_fingerprint = FingerprintSpecs(specs);
+    io::SyscallFaults faults;
+    io::SyscallFaults* prev = io::ExchangeSyscallFaults(&faults);
+    std::string error;
+    const ShardWorkerOutcome outcome =
+        RunShardWorker(config, dir + "/w.state", &error);
+    io::ExchangeSyscallFaults(prev);
+    ASSERT_TRUE(outcome.completed) << error;
+    EXPECT_TRUE(faults.fsynced.empty())
+        << "final state fsynced: " << faults.fsynced.front();
+    ShardState final_state;
+    ASSERT_TRUE(LoadShardState(dir + "/w.state", &final_state, &error))
+        << error;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/w.state.tmp"));
+  }
 
-  const std::size_t half = stream.size() / 2;
-  EdgeQuery lo = MakeEdgeQuery(spec);
-  lo.algorithm->StartPass(0, stream.size());
-  lo.algorithm->ProcessEdgeBlock(
-      0, std::span<const Edge>(stream.data(), half), 0);
-  lo.algorithm->EndPass(0);
-  EdgeQuery hi = MakeEdgeQuery(spec);
-  hi.algorithm->StartPass(0, stream.size());
-  hi.algorithm->ProcessEdgeBlock(
-      0, std::span<const Edge>(stream.data() + half, stream.size() - half),
-      half);
-  hi.algorithm->EndPass(0);
+  const std::string dir = TestDir("fsync_epochs");
+  ShardPlanOptions options = PlanFor(dir, 2);  // 50 edges per shard.
+  options.epoch_edges = 20;                    // Checkpoints at 20 and 40.
+  io::SyscallFaults faults;
+  io::SyscallFaults* prev = io::ExchangeSyscallFaults(&faults);
+  const ShardBatchResult result = RunShardedBatch(specs, stream, options);
+  io::ExchangeSyscallFaults(prev);
+  ASSERT_EQ(result.outcomes.size(), specs.size());
 
-  ASSERT_TRUE(lo.algorithm->MergeFrom(*hi.algorithm));
-  EXPECT_EQ(lo.result().value, full.result().value);
+  std::vector<std::string> want = {dir + "/epoch.manifest.tmp", dir};
+  for (int shard = 0; shard < 2; ++shard) {
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      want.push_back(dir + "/w0-s" + std::to_string(shard) + ".ckpt.tmp");
+      want.push_back(dir);
+    }
+  }
+  EXPECT_EQ(faults.fsynced, want);
 }
 
-TEST(MergeFromTest, RejectsMismatchedConfigsAndForeignKinds) {
+// ---------------------------------------------------------------------------
+// MergeState (the linearity primitive itself)
+// ---------------------------------------------------------------------------
+
+EdgeQuery RunSlice(const QuerySpec& spec, const EdgeStream& stream,
+                   std::size_t begin, std::size_t end) {
+  EdgeQuery q = MakeEdgeQuery(spec);
+  q.algorithm->StartPass(0, stream.size());
+  q.algorithm->ProcessEdgeBlock(
+      0, std::span<const Edge>(stream.data() + begin, end - begin), begin);
+  q.algorithm->EndPass(0);
+  return q;
+}
+
+std::string SaveBytes(const EdgeQuery& q) {
+  StateWriter w;
+  EXPECT_TRUE(q.algorithm->SaveState(w));
+  return w.Take();
+}
+
+TEST(MergeStateTest, TwoHalvesMergeBitIdenticalToFullRun) {
   VertexId n = 0;
   const EdgeStream stream = ShardStream(&n);
   const QuerySpec spec = MixedShardSpecs(n)[0];
+  const std::size_t half = stream.size() / 2;
+  const EdgeQuery full = RunSlice(spec, stream, 0, stream.size());
+  EdgeQuery lo = RunSlice(spec, stream, 0, half);
+  const std::string hi = SaveBytes(RunSlice(spec, stream, half, stream.size()));
+  StateReader r(hi);
+  ASSERT_TRUE(lo.algorithm->MergeState(r));
+  EXPECT_EQ(SaveBytes(lo), SaveBytes(full));
+  EXPECT_EQ(lo.result().value, full.result().value);
+}
 
-  EdgeQuery a = MakeEdgeQuery(spec);
+// MergeState folds a SaveState blob straight from its bytes: bit-identical
+// to restoring the blob into a second instance and calling MergeFrom. And
+// RestoreState copies a blob exactly, even a -0.0 slot.
+TEST(MergeStateTest, EqualsMergeFromAndRestoreCopiesExactly) {
+  VertexId n = 0;
+  const EdgeStream stream = ShardStream(&n);
+  const QuerySpec spec = MixedShardSpecs(n)[0];
+  const std::size_t half = stream.size() / 2;
+  EdgeQuery via_merge_from = RunSlice(spec, stream, 0, half);
+  EdgeQuery via_merge_state = RunSlice(spec, stream, 0, half);
+  const EdgeQuery hi = RunSlice(spec, stream, half, stream.size());
+  ASSERT_TRUE(
+      static_cast<ArbF2FourCycleCounter&>(*via_merge_from.algorithm)
+          .MergeFrom(static_cast<const ArbF2FourCycleCounter&>(*hi.algorithm)));
+  const std::string blob = SaveBytes(hi);
+  StateReader r(blob);
+  ASSERT_TRUE(via_merge_state.algorithm->MergeState(r));
+  EXPECT_EQ(SaveBytes(via_merge_state), SaveBytes(via_merge_from));
+
+  std::string negative_zero = blob;
+  const double minus_zero = -0.0;
+  const std::size_t first_a_slot = 44 + 8;  // Config fields, Vec A size.
+  std::memcpy(negative_zero.data() + first_a_slot, &minus_zero,
+              sizeof(double));
+  EdgeQuery restored = MakeEdgeQuery(spec);
+  StateReader r_nz(negative_zero);
+  ASSERT_TRUE(restored.algorithm->RestoreState(r_nz));
+  EXPECT_EQ(SaveBytes(restored), negative_zero);
+}
+
+TEST(MergeStateTest, RejectsMismatchedConfigsAndForeignKinds) {
+  VertexId n = 0;
+  const EdgeStream stream = ShardStream(&n);
+  const QuerySpec spec = MixedShardSpecs(n)[0];
+  EdgeQuery a = RunSlice(spec, stream, 0, stream.size());
+  const std::string before = SaveBytes(a);
+
   QuerySpec other = spec;
   other.base.seed ^= 7;
-  EdgeQuery b = MakeEdgeQuery(other);
-  EXPECT_FALSE(a.algorithm->MergeFrom(*b.algorithm));
-
   QuerySpec triest;
   triest.kind = QueryKind::kTriest;
   triest.name = "t";
   triest.reservoir_capacity = 10;
   EdgeQuery c = MakeEdgeQuery(triest);
-  EXPECT_FALSE(a.algorithm->MergeFrom(*c.algorithm));
+  const std::string own = before;
+  const std::string rejected[] = {
+      SaveBytes(MakeEdgeQuery(other)),         // Foreign seed.
+      SaveBytes(c),                            // Foreign kind.
+      own + "x",                               // Trailing bytes.
+      own.substr(0, own.size() - 8),           // Short last array.
+  };
+  for (const std::string& blob : rejected) {
+    StateReader r(blob);
+    EXPECT_FALSE(a.algorithm->MergeState(r));
+  }
+  EXPECT_EQ(SaveBytes(a), before) << "a rejected MergeState mutated";
+  // The typed MergeFrom (the turnstile-c4 window fold) refuses the same
+  // foreign-seed counter and leaves its target untouched.
+  const EdgeQuery b = RunSlice(other, stream, 0, stream.size());
+  EXPECT_FALSE(static_cast<ArbF2FourCycleCounter&>(*a.algorithm)
+                   .MergeFrom(static_cast<const ArbF2FourCycleCounter&>(
+                       *b.algorithm)));
+  EXPECT_EQ(SaveBytes(a), before) << "a rejected MergeFrom mutated";
   // The default implementation (non-mergeable kinds) always refuses.
-  EXPECT_FALSE(c.algorithm->MergeFrom(*a.algorithm));
+  StateReader r(own);
+  EXPECT_FALSE(c.algorithm->MergeState(r));
 }
 
 }  // namespace
