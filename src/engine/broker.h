@@ -142,22 +142,6 @@ struct QueryOutcome {
   bool poisoned = false;
 };
 
-/// Aggregate accounting for one broker batch.
-struct EngineStats {
-  std::uint64_t source_items_read = 0;  // Edges (or lists) read from the
-                                        // source, summed over physical
-                                        // passes — the "one read serves N
-                                        // queries" claim is this counter.
-  std::uint64_t items_delivered = 0;    // Process* calls across queries.
-  std::uint64_t physical_passes = 0;    // Stream reads (all waves).
-  std::uint64_t waves = 0;
-  std::uint64_t queries_admitted = 0;
-  std::uint64_t queries_queued = 0;   // Admitted in a wave after their first
-                                      // offer (still counted in admitted).
-  std::uint64_t queries_rejected = 0;
-  std::uint64_t budget_peak_words = 0;  // Peak reserved words at any moment.
-};
-
 /// Multi-query stream engine: registers N QuerySpecs, then makes a single
 /// physical pass (per logical pass number, per wave) over the stream and
 /// fans each block out to every admitted query.

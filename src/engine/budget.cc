@@ -1,5 +1,8 @@
 #include "engine/budget.h"
 
+#include <numeric>
+#include <utility>
+
 #include "util/check.h"
 
 namespace cyclestream::engine {
@@ -57,6 +60,50 @@ void AdmissionController::Release(std::size_t declared_words) {
       << " words reserved) — double release or size mismatch";
   ledger_.erase(it);
   tracker_.Release(kReservedComponent, declared_words);
+}
+
+void RunAdmissionWaves(const BudgetPolicy& policy,
+                       const std::vector<QuerySpec>& specs,
+                       EngineStats& stats, const AdmissionWaveFn& run_wave) {
+  AdmissionController controller(policy);
+  std::vector<char> queued_before(specs.size(), 0);
+  std::vector<std::size_t> pending(specs.size());
+  std::iota(pending.begin(), pending.end(), std::size_t{0});
+
+  for (int wave = 0; !pending.empty(); ++wave) {
+    std::vector<std::size_t> admitted;
+    std::vector<std::size_t> queued;
+    for (std::size_t slot : pending) {
+      switch (controller.Offer(specs[slot].space_budget_words)) {
+        case AdmissionOutcome::kAdmitted:
+          admitted.push_back(slot);
+          break;
+        case AdmissionOutcome::kQueued:
+          queued.push_back(slot);
+          if (!queued_before[slot]) {
+            queued_before[slot] = 1;
+            ++stats.queries_queued;
+          }
+          break;
+        case AdmissionOutcome::kRejected:
+          ++stats.queries_rejected;
+          break;
+      }
+    }
+    if (admitted.empty()) {
+      CHECK(queued.empty()) << "admission deadlock: queued queries with an "
+                               "empty wave";
+      break;
+    }
+    ++stats.waves;
+    if (!run_wave(wave, admitted, queued)) break;
+    for (std::size_t slot : admitted) {
+      controller.Release(specs[slot].space_budget_words);
+      ++stats.queries_admitted;
+    }
+    pending = std::move(queued);
+  }
+  stats.budget_peak_words = controller.peak_reserved_words();
 }
 
 }  // namespace cyclestream::engine

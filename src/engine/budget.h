@@ -2,9 +2,13 @@
 #define CYCLESTREAM_ENGINE_BUDGET_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <set>
 #include <string_view>
+#include <vector>
 
+#include "engine/query.h"
 #include "stream/space.h"
 
 namespace cyclestream::engine {
@@ -72,6 +76,45 @@ class AdmissionController {
   /// query. A multiset because distinct queries may declare equal budgets.
   std::multiset<std::size_t> ledger_;
 };
+
+/// Aggregate accounting for one engine batch (broker, sharded, or
+/// supervised).
+struct EngineStats {
+  std::uint64_t source_items_read = 0;  // Edges (or lists) read from the
+                                        // source, summed over physical
+                                        // passes — the "one read serves N
+                                        // queries" claim is this counter.
+  std::uint64_t items_delivered = 0;    // Process* calls across queries.
+  std::uint64_t physical_passes = 0;    // Stream reads (all waves).
+  std::uint64_t waves = 0;
+  std::uint64_t queries_admitted = 0;
+  std::uint64_t queries_queued = 0;   // Admitted in a wave after their first
+                                      // offer (still counted in admitted).
+  std::uint64_t queries_rejected = 0;
+  std::uint64_t budget_peak_words = 0;  // Peak reserved words at any moment.
+};
+
+/// Runs one wave: `admitted` holds its slots (reserved), `queued` the slots
+/// offered again after it. Returning false stops the admission loop with
+/// the wave's reservations held (a drain, a failed resume cross-check).
+using AdmissionWaveFn =
+    std::function<bool(int wave, const std::vector<std::size_t>& admitted,
+                       const std::vector<std::size_t>& queued)>;
+
+/// The admission loop every engine front end runs (the broker, and the
+/// sharded and supervised batches). Each round offers the pending slots in
+/// slot order to one controller; the admitted ones form the next wave, the
+/// queued ones wait for its reservations to be returned, the rejected ones
+/// never run (their outcome keeps its default kRejected). Between waves
+/// every reservation is released, and Offer rejects anything larger than
+/// the aggregate cap outright, so a non-empty pending set always admits at
+/// least its first slot. Counts waves, admissions, first-time queuings,
+/// rejections and the reservation peak into `stats`. The same specs under
+/// the same policy give the same waves in every front end, interrupted or
+/// not — the schedule the bit-identity contracts rest on.
+void RunAdmissionWaves(const BudgetPolicy& policy,
+                       const std::vector<QuerySpec>& specs,
+                       EngineStats& stats, const AdmissionWaveFn& run_wave);
 
 }  // namespace cyclestream::engine
 

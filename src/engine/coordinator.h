@@ -16,9 +16,10 @@ namespace cyclestream::engine {
 
 /// Coordinator half of the multi-process engine (DESIGN.md §14): partitions
 /// the stream into W contiguous shard ranges, runs one worker per shard
-/// (in-process for hermetic tests, or `cyclestream_cli shard-worker`
-/// subprocesses), and folds the workers' serialized states in fixed shard
-/// order with the exact-integer MergeState path.
+/// (in-process — the only launch for text graphs and shuffled orders — or
+/// as `cyclestream_cli shard-worker` subprocesses), and folds the workers'
+/// serialized states in fixed shard order with the exact-integer
+/// MergeState path.
 ///
 /// Determinism contract: every query's merged state — and therefore every
 /// estimate, space audit, and deterministic manifest field — is
@@ -33,14 +34,14 @@ namespace cyclestream::engine {
 /// nothing.
 ///
 /// Fault tolerance: with an epoch cadence configured, each worker
-/// checkpoints its state every epoch_edges slice-local edges (atomic
-/// write), and the coordinator records an epoch manifest up front. A worker
-/// that dies is relaunched alone, resuming from its last checkpoint — live
-/// workers and finished shards are never re-run. A coordinator restart can
-/// instead call ResumeShardedBatch, which folds the per-shard checkpoints
-/// as a base state and re-partitions only the leftover ranges — among a
-/// *different* worker count if desired (state linearity makes any
-/// repartition of the unprocessed suffix merge to the same totals).
+/// checkpoints its state every epoch_edges slice-local edges (durable
+/// atomic write). A worker that dies is relaunched once, alone, resuming
+/// from its last checkpoint — live workers and finished shards are never
+/// re-run; a second failure aborts the batch. RunShardedBatch runs on the
+/// supervisor's wave loop (engine/supervisor.h) with that fixed policy and
+/// deletes each wave's state and checkpoint files once they are folded:
+/// the recovery root for an interrupted batch is `serve --daemon --resume`,
+/// which keeps them.
 
 /// How workers are executed.
 enum class ShardLaunch {
@@ -53,14 +54,14 @@ struct ShardPlanOptions {
   int num_workers = 1;
   /// Edges per ProcessEdgeBlock inside each worker (throughput only).
   std::size_t block_edges = 4096;
-  /// Admission policy — identical semantics to BrokerOptions::budget (the
-  /// coordinator replays the broker's exact offer sequence).
+  /// Admission policy — identical semantics to BrokerOptions::budget (both
+  /// run RunAdmissionWaves, engine/budget.h).
   BudgetPolicy budget;
   /// Worker checkpoint cadence in slice-local edges; 0 disables
   /// checkpoints (and with them, recovery).
   std::uint64_t epoch_edges = 0;
-  /// Directory for spec files, worker state files, checkpoints, and the
-  /// epoch manifest. Must exist. Required (CHECKed).
+  /// Directory for spec files, worker state files, checkpoints, and (for
+  /// the daemon) its manifest. Must exist. Required (CHECKed).
   std::string shard_dir;
   ShardLaunch launch = ShardLaunch::kInProcess;
   /// Worker executable for kSubprocess; empty resolves /proc/self/exe.
@@ -80,73 +81,26 @@ struct ShardPlanOptions {
 struct ShardBatchResult {
   std::vector<QueryOutcome> outcomes;  // Slot order, like the broker's.
   EngineStats stats;
-  std::uint64_t workers_launched = 0;
-  std::uint64_t workers_recovered = 0;
-  bool resumed = false;  // Result came from ResumeShardedBatch.
+  std::uint64_t workers_launched = 0;   // Launches, relaunches included.
+  std::uint64_t workers_recovered = 0;  // Relaunches after a failure.
 };
 
 /// Runs `specs` over `edges` under the sharded engine. Every spec must be a
 /// shard-mergeable edge kind (IsShardMergeableKind; CHECKed). Admission,
 /// waves, outcomes, and stats replicate StreamBroker::RunEdgeQueries
-/// exactly. When epoch_edges > 0 an epoch manifest for the first wave is
-/// written to `<shard_dir>/epoch.manifest`.
+/// exactly. Defined in supervisor.cc: it is the supervisor's wave loop with
+/// one immediate relaunch per worker, no deadlines, no daemon manifest, and
+/// each wave's files removed once folded. Aborts if a worker fails twice.
 ShardBatchResult RunShardedBatch(const std::vector<QuerySpec>& specs,
                                  std::span<const Edge> edges,
                                  const ShardPlanOptions& options);
 
 // ---------------------------------------------------------------------------
-// Coordinator epoch manifest + W-change restore
-// ---------------------------------------------------------------------------
-
-/// What a dead coordinator needs to finish the batch: the partition it
-/// launched and where each shard's checkpoints live. Written once at the
-/// start of the (first) wave; per-shard *progress* lives in each shard's
-/// own checkpoint file, so the manifest never needs rewriting — there is no
-/// global synchronized cut, and none is needed: state linearity lets the
-/// restore fold whatever each shard's last checkpoint holds and re-run just
-/// the leftover ranges.
-struct EpochManifest {
-  std::uint32_t num_workers = 1;
-  std::uint64_t stream_fingerprint = 0;
-  std::uint64_t stream_length = 0;
-  std::uint64_t spec_fingerprint = 0;  // Of the wave's admitted specs.
-  std::uint64_t epoch_edges = 0;
-  std::vector<std::vector<ShardRange>> worker_ranges;
-  /// Checkpoint file names, relative to the manifest's directory.
-  std::vector<std::string> checkpoint_files;
-};
-
-/// CRC-framed save/load (same frame protocol as shard states; strict
-/// validation, never a partial read).
-bool SaveEpochManifest(const std::string& path, const EpochManifest& manifest,
-                       std::string* error);
-bool LoadEpochManifest(const std::string& path, EpochManifest* manifest,
-                       std::string* error);
-
-/// Coordinator-restart restore: reads `manifest_path` (+ the per-shard
-/// checkpoints it names), folds the checkpointed states as the base,
-/// re-partitions the unprocessed leftover ranges among
-/// `options.num_workers` fresh workers (any W — it need not match the
-/// original), runs them, and merges base + workers in fixed order. The
-/// batch must have been single-wave (admission replay of `specs` under
-/// `options.budget` must admit everything in wave 0 and match the
-/// manifest's spec fingerprint) — multi-wave batches recover in-flight via
-/// the coordinator's own worker relaunch instead. Returns false with
-/// `*error` on any validation failure; aborts nothing.
-bool ResumeShardedBatch(const std::string& manifest_path,
-                        const std::vector<QuerySpec>& specs,
-                        std::span<const Edge> edges,
-                        const ShardPlanOptions& options,
-                        ShardBatchResult* result, std::string* error);
-
-// ---------------------------------------------------------------------------
 // Worker-execution toolkit
 // ---------------------------------------------------------------------------
-// The launch/collect/merge/finalize primitives the coordinator's own wave
-// loop is built from, exported so the supervision layer
-// (engine/supervisor.h) can drive the *same* workers under a richer policy
-// (retry budgets, backoff, deadlines, drain) without duplicating the
-// determinism-critical state handling.
+// The launch/collect/merge/finalize primitives the wave loop in
+// engine/supervisor.cc is built from: the determinism-critical state
+// handling, kept apart from the retry, deadline and drain policy.
 
 /// One worker's launch parameters for a wave.
 struct WorkerLaunch {

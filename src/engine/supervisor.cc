@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -201,6 +200,18 @@ void CountExit(int status, SupervisorCounters* counters) {
   }
 }
 
+// Reports a worker that used up its attempts, once no worker of the wave
+// is running. A daemon poisons the wave and carries on; a shard run has no
+// poisoned outcome to report (the coordinator never poisons), so it aborts.
+void ReportExhausted(int wave, std::size_t worker,
+                     const SupervisorOptions& options, bool resumable) {
+  CHECK(resumable) << "shard worker " << worker
+                   << " failed twice (initial + recovery) in wave " << wave
+                   << "; giving up";
+  LOG(ERROR) << "wave " << wave << " worker " << worker << " failed "
+             << options.retry.max_attempts << " times; poisoning the wave";
+}
+
 // Subprocess wave runner: launch workers, reap with WNOHANG, retry under
 // the backoff policy, enforce deadlines, honor drain. Fills `states` for
 // every worker on kCompleted; partial on kPoisoned/kDrained.
@@ -208,9 +219,10 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
                              const std::vector<QuerySpec>& wave_specs,
                              const SupervisorOptions& options,
                              const std::string& spec_path, int wave,
-                             bool batch_resume,
+                             bool resumable,
                              std::vector<MappedShardState>* states,
                              SupervisorCounters* counters) {
+  const bool batch_resume = options.resume;
   const std::size_t w = launches.size();
   states->clear();
   states->resize(w);
@@ -336,13 +348,11 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
     for (std::size_t i = 0; i < w; ++i) {
       if (!done[i] && !track[i].running &&
           track[i].attempts >= options.retry.max_attempts) {
-        LOG(ERROR) << "wave " << wave << " worker " << i << " failed "
-                   << options.retry.max_attempts
-                   << " times; poisoning the wave";
         kill_running(SIGKILL);
         for (std::size_t j = 0; j < w; ++j) {
           if (track[j].running) reap_one(j, 0);
         }
+        ReportExhausted(wave, i, options, resumable);
         if (watchdog) counters->deadline_kills += watchdog->kills();
         return WaveStatus::kPoisoned;
       }
@@ -382,9 +392,10 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
 WaveStatus RunWaveInProcess(std::vector<WorkerLaunch>& launches,
                             const std::vector<QuerySpec>& wave_specs,
                             const SupervisorOptions& options, int wave,
-                            bool batch_resume,
+                            bool resumable,
                             std::vector<MappedShardState>* states,
                             SupervisorCounters* counters) {
+  const bool batch_resume = options.resume;
   const std::size_t w = launches.size();
   states->clear();
   states->resize(w);
@@ -422,9 +433,7 @@ WaveStatus RunWaveInProcess(std::vector<WorkerLaunch>& launches,
       }
     }
     if (!done[i]) {
-      LOG(ERROR) << "wave " << wave << " worker " << i << " failed "
-                 << options.retry.max_attempts
-                 << " times; poisoning the wave";
+      ReportExhausted(wave, i, options, resumable);
       return WaveStatus::kPoisoned;
     }
   }
@@ -563,13 +572,22 @@ std::uint64_t ComputeBackoffMs(const RetryPolicy& policy, int wave,
 }
 
 // ---------------------------------------------------------------------------
-// Entry point
+// The wave loop
 // ---------------------------------------------------------------------------
 
-bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
-                        std::span<const Edge> edges,
-                        const SupervisorOptions& options,
-                        SupervisedBatchResult* result, std::string* error) {
+namespace {
+
+// The one wave loop behind `serve --daemon` (RunSupervisedBatch) and
+// `shard` (RunShardedBatch). `resumable` is the only difference between
+// them: a daemon persists its admission frontier in the daemon manifest,
+// keeps every wave's states and checkpoints for a later --resume, and
+// poisons a wave whose worker runs out of attempts; a shard run writes no
+// manifest, deletes each wave's states and checkpoints once they are
+// folded (nothing reads them again), and aborts instead of poisoning.
+bool RunWaves(const std::vector<QuerySpec>& specs,
+              std::span<const Edge> edges, const SupervisorOptions& options,
+              bool resumable, SupervisedBatchResult* result,
+              std::string* error) {
   auto reject = [error](const std::string& why) {
     if (error != nullptr) *error = why;
     return false;
@@ -579,8 +597,10 @@ bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
   const ShardPlanOptions& plan = options.plan;
   CHECK_GT(plan.num_workers, 0);
   CHECK(!plan.shard_dir.empty())
-      << "SupervisorOptions::plan.shard_dir is required";
+      << "ShardPlanOptions::shard_dir is required (state files + "
+         "checkpoints live there)";
   CHECK_GE(options.retry.max_attempts, 1);
+  CHECK(resumable || !options.resume);
   const bool subprocess = plan.launch == ShardLaunch::kSubprocess;
   if (subprocess) {
     CHECK(!plan.stream_path.empty())
@@ -605,18 +625,29 @@ bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
   EngineStats& stats = out.stats;
 
   const std::uint64_t stream_fp = FingerprintEdgeStream(edges);
-  const std::uint64_t batch_fp = FingerprintSpecs(specs);
   const std::string manifest_path = DaemonManifestPath(plan.shard_dir);
 
   DaemonManifest base;
   base.stream_fingerprint = stream_fp;
   base.stream_length = edges.size();
-  base.batch_spec_fingerprint = batch_fp;
+  base.batch_spec_fingerprint = FingerprintSpecs(specs);
   base.num_workers = static_cast<std::uint32_t>(plan.num_workers);
   base.epoch_edges = plan.epoch_edges;
   base.block_edges = plan.block_edges;
   base.aggregate_words = plan.budget.aggregate_words;
   base.per_query_words = plan.budget.per_query_words;
+  auto save_manifest = [&](std::uint32_t waves_started,
+                           const std::vector<std::size_t>& pending,
+                           bool drained, bool completed) {
+    if (!resumable) return;
+    DaemonManifest m = base;
+    m.waves_started = waves_started;
+    m.pending_slots.assign(pending.begin(), pending.end());
+    m.drained = drained ? 1 : 0;
+    m.completed = completed ? 1 : 0;
+    std::string werr;
+    CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
+  };
 
   DaemonManifest prev;
   if (options.resume) {
@@ -625,7 +656,7 @@ bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
         prev.stream_length != edges.size()) {
       return reject("daemon manifest is for a different stream");
     }
-    if (prev.batch_spec_fingerprint != batch_fp) {
+    if (prev.batch_spec_fingerprint != base.batch_spec_fingerprint) {
       return reject("daemon manifest is for a different query batch "
                     "(spec fingerprint mismatch)");
     }
@@ -639,189 +670,154 @@ bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
     }
   }
 
-  // The broker's exact admission loop — identical offers against an
-  // identical controller ⇒ identical waves, with or without supervision,
-  // interrupted or not.
-  AdmissionController controller(plan.budget);
-  std::vector<char> queued_before(specs.size(), 0);
-  std::vector<std::size_t> pending(specs.size());
-  std::iota(pending.begin(), pending.end(), std::size_t{0});
+  std::string mismatch;
+  RunAdmissionWaves(
+      plan.budget, specs, stats,
+      [&](int wave, const std::vector<std::size_t>& admitted,
+          const std::vector<std::size_t>& queued) {
+        // Resume cross-check at the interruption frontier: the replayed
+        // admission queue must match what the drained daemon persisted.
+        if (options.resume && prev.waves_started > 0 &&
+            wave == static_cast<int>(prev.waves_started) - 1 &&
+            std::vector<std::uint64_t>(queued.begin(), queued.end()) !=
+                prev.pending_slots) {
+          mismatch = "daemon manifest admission queue mismatch at wave " +
+                     std::to_string(wave) +
+                     " (different batch or budget policy?)";
+          return false;
+        }
 
-  int wave = 0;
-  while (!pending.empty()) {
-    std::vector<std::size_t> admitted;
-    std::vector<std::size_t> queued;
-    for (std::size_t slot : pending) {
-      switch (controller.Offer(specs[slot].space_budget_words)) {
-        case AdmissionOutcome::kAdmitted:
-          admitted.push_back(slot);
-          break;
-        case AdmissionOutcome::kQueued:
-          queued.push_back(slot);
-          if (!queued_before[slot]) {
-            queued_before[slot] = 1;
-            ++stats.queries_queued;
+        std::vector<QuerySpec> wave_specs;
+        wave_specs.reserve(admitted.size());
+        for (std::size_t slot : admitted) wave_specs.push_back(specs[slot]);
+        const std::uint64_t spec_fp = FingerprintSpecs(wave_specs);
+
+        const std::vector<ShardRange> partition =
+            PartitionStream(edges.size(), plan.num_workers);
+        const std::string prefix =
+            plan.shard_dir + "/w" + std::to_string(wave);
+
+        std::string spec_path;
+        if (subprocess) {
+          spec_path = prefix + ".specs";
+          std::string werr;
+          CHECK(WriteSpecFile(spec_path, wave_specs, &werr)) << werr;
+        }
+
+        std::vector<WorkerLaunch> launches(
+            static_cast<std::size_t>(plan.num_workers));
+        for (std::size_t i = 0; i < launches.size(); ++i) {
+          ShardWorkerConfig& c = launches[i].config;
+          const std::string stem = prefix + "-s" + std::to_string(i);
+          c.specs = wave_specs;
+          c.edges = edges;
+          c.ranges = {partition[i]};
+          c.worker_id = static_cast<std::uint32_t>(i);
+          c.num_workers = static_cast<std::uint32_t>(plan.num_workers);
+          c.stream_fingerprint = stream_fp;
+          c.spec_fingerprint = spec_fp;
+          c.block_edges = plan.block_edges;
+          c.epoch_edges = plan.epoch_edges;
+          c.throttle_ms_per_block = options.throttle_ms_per_block;
+          if (plan.epoch_edges > 0) c.checkpoint_path = stem + ".ckpt";
+          if (subprocess && heartbeat_edges > 0) {
+            c.heartbeat_edges = heartbeat_edges;
+            c.heartbeat_path = stem + ".hb";
           }
-          break;
-        case AdmissionOutcome::kRejected:
-          out.outcomes[slot].admission = AdmissionOutcome::kRejected;
-          ++stats.queries_rejected;
-          break;
-      }
-    }
-    if (admitted.empty()) {
-      CHECK(queued.empty()) << "admission deadlock: queued queries with an "
-                               "empty wave";
-      break;
-    }
-
-    // Resume cross-check at the interruption frontier: the replayed
-    // admission queue must match what the drained daemon persisted.
-    if (options.resume && prev.waves_started > 0 &&
-        wave == static_cast<int>(prev.waves_started) - 1) {
-      std::vector<std::uint64_t> replayed(queued.begin(), queued.end());
-      if (replayed != prev.pending_slots) {
-        return reject("daemon manifest admission queue mismatch at wave " +
-                      std::to_string(wave) +
-                      " (different batch or budget policy?)");
-      }
-    }
-
-    ++stats.waves;
-
-    std::vector<QuerySpec> wave_specs;
-    wave_specs.reserve(admitted.size());
-    for (std::size_t slot : admitted) wave_specs.push_back(specs[slot]);
-    const std::uint64_t spec_fp = FingerprintSpecs(wave_specs);
-
-    const std::vector<ShardRange> partition =
-        PartitionStream(edges.size(), plan.num_workers);
-    const std::string prefix =
-        plan.shard_dir + "/w" + std::to_string(wave);
-
-    std::string spec_path;
-    if (subprocess) {
-      spec_path = prefix + ".specs";
-      std::string werr;
-      CHECK(WriteSpecFile(spec_path, wave_specs, &werr)) << werr;
-    }
-
-    std::vector<WorkerLaunch> launches(
-        static_cast<std::size_t>(plan.num_workers));
-    for (std::size_t i = 0; i < launches.size(); ++i) {
-      ShardWorkerConfig& c = launches[i].config;
-      c.specs = wave_specs;
-      c.edges = edges;
-      c.ranges = {partition[i]};
-      c.worker_id = static_cast<std::uint32_t>(i);
-      c.num_workers = static_cast<std::uint32_t>(plan.num_workers);
-      c.stream_fingerprint = stream_fp;
-      c.spec_fingerprint = spec_fp;
-      c.block_edges = plan.block_edges;
-      c.epoch_edges = plan.epoch_edges;
-      c.throttle_ms_per_block = options.throttle_ms_per_block;
-      if (plan.epoch_edges > 0) {
-        c.checkpoint_path = prefix + "-s" + std::to_string(i) + ".ckpt";
-      }
-      if (subprocess && heartbeat_edges > 0) {
-        c.heartbeat_edges = heartbeat_edges;
-        c.heartbeat_path = prefix + "-s" + std::to_string(i) + ".hb";
-      }
-      if (wave == 0 && !options.resume) {
-        if (plan.kill_worker >= 0 &&
-            static_cast<std::size_t>(plan.kill_worker) == i) {
-          c.die_after_edges = plan.kill_after_edges;
+          if (wave == 0 && !options.resume) {
+            if (plan.kill_worker >= 0 &&
+                static_cast<std::size_t>(plan.kill_worker) == i) {
+              c.die_after_edges = plan.kill_after_edges;
+            }
+            if (subprocess && options.hang_worker >= 0 &&
+                static_cast<std::size_t>(options.hang_worker) == i) {
+              c.hang_after_edges = options.hang_after_edges;
+            }
+          }
+          launches[i].state_path = stem + ".state";
         }
-        if (subprocess && options.hang_worker >= 0 &&
-            static_cast<std::size_t>(options.hang_worker) == i) {
-          c.hang_after_edges = options.hang_after_edges;
+
+        // Persist the frontier BEFORE launching: a crash at any point after
+        // this line resumes into exactly this wave.
+        const auto waves_started = static_cast<std::uint32_t>(wave) + 1;
+        save_manifest(waves_started, queued, false, false);
+
+        // A drain that lands between waves stops with nothing in flight.
+        std::vector<MappedShardState> states;
+        const WaveStatus status =
+            SupervisorDrainRequested() ? WaveStatus::kDrained
+            : subprocess
+                ? RunWaveSubprocess(launches, wave_specs, options, spec_path,
+                                    wave, resumable, &states, &out.counters)
+                : RunWaveInProcess(launches, wave_specs, options, wave,
+                                   resumable, &states, &out.counters);
+
+        if (status == WaveStatus::kDrained) {
+          save_manifest(waves_started, queued, true, false);
+          out.drained = true;
+          ++out.counters.drains;
+          return false;
         }
-      }
-      launches[i].state_path = prefix + "-s" + std::to_string(i) + ".state";
-    }
 
-    // Persist the frontier BEFORE launching: a crash at any point after
-    // this line resumes into exactly this wave.
-    {
-      DaemonManifest m = base;
-      m.waves_started = static_cast<std::uint32_t>(wave) + 1;
-      m.pending_slots.assign(queued.begin(), queued.end());
-      std::string werr;
-      CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
-    }
+        if (status == WaveStatus::kPoisoned) {
+          ++out.counters.waves_poisoned;
+          out.poisoned_waves.push_back(wave);
+          for (std::size_t slot : admitted) {
+            out.outcomes[slot].admission = AdmissionOutcome::kAdmitted;
+            out.outcomes[slot].wave = wave;
+            out.outcomes[slot].poisoned = true;
+          }
+          return true;  // The daemon outlives the wave.
+        }
 
-    if (SupervisorDrainRequested()) {
-      // Drain landed between waves: nothing in flight, just mark it.
-      DaemonManifest m = base;
-      m.waves_started = static_cast<std::uint32_t>(wave) + 1;
-      m.pending_slots.assign(queued.begin(), queued.end());
-      m.drained = 1;
-      std::string werr;
-      CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
-      out.drained = true;
-      ++out.counters.drains;
-      break;
-    }
-
-    std::vector<MappedShardState> states;
-    const WaveStatus status =
-        subprocess
-            ? RunWaveSubprocess(launches, wave_specs, options, spec_path,
-                                wave, options.resume, &states, &out.counters)
-            : RunWaveInProcess(launches, wave_specs, options, wave,
-                               options.resume, &states, &out.counters);
-
-    if (status == WaveStatus::kDrained) {
-      DaemonManifest m = base;
-      m.waves_started = static_cast<std::uint32_t>(wave) + 1;
-      m.pending_slots.assign(queued.begin(), queued.end());
-      m.drained = 1;
-      std::string werr;
-      CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
-      out.drained = true;
-      ++out.counters.drains;
-      break;
-    }
-
-    if (status == WaveStatus::kPoisoned) {
-      ++out.counters.waves_poisoned;
-      out.poisoned_waves.push_back(wave);
-      for (std::size_t slot : admitted) {
-        out.outcomes[slot].admission = AdmissionOutcome::kAdmitted;
-        out.outcomes[slot].wave = wave;
-        out.outcomes[slot].poisoned = true;
-        controller.Release(specs[slot].space_budget_words);
-        ++stats.queries_admitted;
-      }
-      pending = std::move(queued);
-      ++wave;
-      continue;  // The daemon outlives the wave.
-    }
-
-    std::vector<EdgeQuery> merged = MakeMergeTargets(wave_specs);
-    FoldCollectedStates(wave_specs, std::move(states), merged);
-    FinalizeShardWave(admitted, wave, edges.size(), merged, out.outcomes,
-                      stats);
-    ++out.counters.waves_completed;
-
-    for (std::size_t slot : admitted) {
-      controller.Release(specs[slot].space_budget_words);
-      ++stats.queries_admitted;
-    }
-    pending = std::move(queued);
-    ++wave;
-  }
+        std::vector<EdgeQuery> merged = MakeMergeTargets(wave_specs);
+        FoldCollectedStates(wave_specs, std::move(states), merged);
+        FinalizeShardWave(admitted, wave, edges.size(), merged, out.outcomes,
+                          stats);
+        ++out.counters.waves_completed;
+        if (!resumable) {
+          for (const WorkerLaunch& launch : launches) {
+            std::remove(launch.state_path.c_str());
+            if (!launch.config.checkpoint_path.empty()) {
+              std::remove(launch.config.checkpoint_path.c_str());
+            }
+          }
+        }
+        return true;
+      });
+  if (!mismatch.empty()) return reject(mismatch);
 
   if (!out.drained) {
-    DaemonManifest m = base;
-    m.waves_started = static_cast<std::uint32_t>(wave);
-    m.completed = 1;
-    std::string werr;
-    CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
+    save_manifest(static_cast<std::uint32_t>(stats.waves), {}, false, true);
   }
-  stats.budget_peak_words = controller.peak_reserved_words();
   *result = std::move(out);
   return true;
+}
+
+}  // namespace
+
+bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
+                        std::span<const Edge> edges,
+                        const SupervisorOptions& options,
+                        SupervisedBatchResult* result, std::string* error) {
+  return RunWaves(specs, edges, options, /*resumable=*/true, result, error);
+}
+
+ShardBatchResult RunShardedBatch(const std::vector<QuerySpec>& specs,
+                                 std::span<const Edge> edges,
+                                 const ShardPlanOptions& options) {
+  SupervisorOptions supervised;
+  supervised.plan = options;
+  // One immediate relaunch, resuming from the worker's own checkpoint; no
+  // deadlines, heartbeats or throttle.
+  supervised.retry = {
+      .max_attempts = 2, .base_backoff_ms = 0, .backoff_cap_ms = 0};
+  SupervisedBatchResult run;
+  CHECK(RunWaves(specs, edges, supervised, /*resumable=*/false, &run,
+                 nullptr));
+  CHECK(!run.drained) << "a shard run cannot drain; use serve --daemon";
+  return {std::move(run.outcomes), run.stats, run.counters.workers_launched,
+          run.counters.retries};
 }
 
 void ExportSupervisorCounters(const SupervisorCounters& c,

@@ -13,8 +13,11 @@
 
 namespace cyclestream::engine {
 
-/// Supervision layer over the sharded engine (DESIGN.md §15): wraps the
-/// coordinator's wave loop into a fault-tolerant always-on daemon.
+/// Supervision layer over the sharded engine (DESIGN.md §15): the one wave
+/// loop both sharded front ends run. `serve --daemon` (RunSupervisedBatch)
+/// runs it under the full policy below; `shard` (RunShardedBatch,
+/// engine/coordinator.h) runs it with one immediate relaunch per worker, no
+/// daemon manifest, and each wave's files removed once folded.
 ///
 /// Failure-handling ladder, mildest remedy first:
 ///
@@ -190,8 +193,8 @@ bool LoadDaemonManifest(const std::string& path, DaemonManifest* manifest,
 // ---------------------------------------------------------------------------
 
 /// Runs `specs` over `edges` under supervision. Admission, waves, merged
-/// estimates, and stats replicate RunShardedBatch (hence the broker)
-/// exactly for every wave that completes; supervision only adds recovery
+/// estimates, and stats replicate the broker exactly for every wave that
+/// completes; supervision only adds recovery
 /// around the workers. Returns false with `*error` on resume validation
 /// failure (missing/mismatched daemon manifest); programmer errors CHECK.
 ///

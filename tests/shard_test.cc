@@ -4,12 +4,15 @@
 // behavior, and the coordinator's flagship contract — every estimate,
 // outcome, and stats field bit-identical to the single-process broker at
 // any worker count, including after killing a worker at every epoch
-// boundary and after a W-change restore from an epoch manifest.
+// boundary and after relaunching one whose checkpoint was lost. A shard
+// run leaves no state or checkpoint file behind, and a worker that fails
+// twice aborts the batch.
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "engine/shard.h"
 #include "engine/spec.h"
 #include "gen/generators.h"
+#include "graph/binary_io.h"
 #include "gtest/gtest.h"
 #include "stream/checkpoint.h"
 #include "stream/order.h"
@@ -192,20 +196,6 @@ TEST(PartitionTest, MoreWorkersThanEdgesYieldsEmptyTails) {
   for (int i = 5; i < 8; ++i) EXPECT_EQ(ranges[i].size(), 0u);
 }
 
-TEST(PartitionTest, AdvanceRangesSkipsConsumedPrefix) {
-  const std::vector<ShardRange> ranges = {{0, 10}, {20, 25}, {30, 40}};
-  EXPECT_EQ(AdvanceRanges(ranges, 0), ranges);
-  EXPECT_EQ(AdvanceRanges(ranges, 10),
-            (std::vector<ShardRange>{{20, 25}, {30, 40}}));
-  EXPECT_EQ(AdvanceRanges(ranges, 12),
-            (std::vector<ShardRange>{{22, 25}, {30, 40}}));
-  // edges_done counts consumed edges, not stream positions: the three
-  // ranges hold 10 + 5 + 10 = 25 edges in total.
-  EXPECT_EQ(AdvanceRanges(ranges, 15), (std::vector<ShardRange>{{30, 40}}));
-  EXPECT_EQ(AdvanceRanges(ranges, 20), (std::vector<ShardRange>{{35, 40}}));
-  EXPECT_TRUE(AdvanceRanges(ranges, 25).empty());
-}
-
 TEST(PartitionTest, RangeListFormatRoundTrips) {
   const std::vector<ShardRange> ranges = {{0, 10}, {20, 25}, {30, 30}};
   std::vector<ShardRange> parsed;
@@ -300,42 +290,6 @@ TEST(ShardStateTest, SaveLoadIsAtomicAndStrict) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch manifest codec
-// ---------------------------------------------------------------------------
-
-TEST(EpochManifestTest, RoundTripsAndRejectsDamage) {
-  const std::string dir = TestDir("manifest");
-  EpochManifest manifest;
-  manifest.num_workers = 3;
-  manifest.stream_fingerprint = 0xabcULL;
-  manifest.stream_length = 600;
-  manifest.spec_fingerprint = 0xdefULL;
-  manifest.epoch_edges = 50;
-  manifest.worker_ranges = {{{0, 200}}, {{200, 400}}, {{400, 600}}};
-  manifest.checkpoint_files = {"w0-s0.ckpt", "w0-s1.ckpt", "w0-s2.ckpt"};
-
-  const std::string path = dir + "/epoch.manifest";
-  std::string error;
-  ASSERT_TRUE(SaveEpochManifest(path, manifest, &error)) << error;
-  EpochManifest loaded;
-  ASSERT_TRUE(LoadEpochManifest(path, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.num_workers, manifest.num_workers);
-  EXPECT_EQ(loaded.stream_fingerprint, manifest.stream_fingerprint);
-  EXPECT_EQ(loaded.stream_length, manifest.stream_length);
-  EXPECT_EQ(loaded.spec_fingerprint, manifest.spec_fingerprint);
-  EXPECT_EQ(loaded.epoch_edges, manifest.epoch_edges);
-  EXPECT_EQ(loaded.worker_ranges, manifest.worker_ranges);
-  EXPECT_EQ(loaded.checkpoint_files, manifest.checkpoint_files);
-
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  bytes[bytes.size() / 3] ^= 0x10;
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-  EXPECT_FALSE(LoadEpochManifest(path, &loaded, &error));
-}
-
-// ---------------------------------------------------------------------------
 // Coordinator: W=1 oracle and merge-order edge cases
 // ---------------------------------------------------------------------------
 
@@ -346,12 +300,14 @@ ShardPlanOptions PlanFor(const std::string& dir, int workers) {
   return options;
 }
 
-// Final state files left in `dir`. A batch folds each wave's final states
-// and deletes them; nothing reads them again.
+// Final state and epoch checkpoint files left in `dir`. A shard run folds
+// each wave's final states and deletes them and the wave's checkpoints;
+// nothing reads them again.
 std::vector<std::string> LeftoverStateFiles(const std::string& dir) {
   std::vector<std::string> left;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".state") {
+    if (entry.path().extension() == ".state" ||
+        entry.path().extension() == ".ckpt") {
       left.push_back(entry.path().filename().string());
     }
   }
@@ -469,6 +425,8 @@ TEST(CoordinatorTest, KilledWorkerRecoversAtEveryEpochBoundary) {
                 static_cast<std::uint64_t>(workers) + 1);
       ExpectOutcomesIdentical(oracle, result.outcomes);
       ExpectStatsIdentical(broker_stats, result.stats);
+      EXPECT_EQ(LeftoverStateFiles(options.shard_dir),
+                std::vector<std::string>{});
     }
   }
 }
@@ -493,122 +451,85 @@ TEST(CoordinatorTest, KillWithoutCheckpointsRerunsTheShardFromScratch) {
   ExpectOutcomesIdentical(oracle, result.outcomes);
 }
 
-// ---------------------------------------------------------------------------
-// W-change restore from the epoch manifest
-// ---------------------------------------------------------------------------
-
-TEST(CoordinatorTest, CheckpointAtW4RestoresAtOtherWorkerCounts) {
-  VertexId n = 0;
-  EdgeStream stream = ShardStream(&n);
-  stream.resize(250);
-  std::vector<QuerySpec> specs = MixedShardSpecs(n);
-  specs.resize(6);
-  for (QuerySpec& spec : specs) spec.space_budget_words = 0;
-
-  EngineStats broker_stats;
-  const std::vector<QueryOutcome> oracle =
-      BrokerOracle(specs, stream, BudgetPolicy(), &broker_stats);
-
-  // A W=4 run with an epoch cadence: afterwards the shard dir holds the
-  // epoch manifest plus each shard's last boundary checkpoint (partial
-  // progress — 250/4 edges per shard, epoch 20).
-  const std::string dir = TestDir("wchange");
-  ShardPlanOptions plan = PlanFor(dir, 4);
-  plan.epoch_edges = 20;
-  const ShardBatchResult original = RunShardedBatch(specs, stream, plan);
-  ExpectOutcomesIdentical(oracle, original.outcomes);
-
-  for (int w : {1, 2, 8}) {
-    SCOPED_TRACE("restore_workers=" + std::to_string(w));
-    ShardPlanOptions restore =
-        PlanFor(TestDir("wchange_r" + std::to_string(w)), w);
-    ShardBatchResult result;
-    std::string error;
-    ASSERT_TRUE(ResumeShardedBatch(dir + "/epoch.manifest", specs, stream,
-                                   restore, &result, &error))
-        << error;
-    EXPECT_TRUE(result.resumed);
-    ExpectOutcomesIdentical(oracle, result.outcomes);
-    ExpectStatsIdentical(broker_stats, result.stats);
-    EXPECT_EQ(LeftoverStateFiles(restore.shard_dir).size(), 0u);
-  }
-}
-
-TEST(CoordinatorTest, RestoreSurvivesAMissingShardCheckpoint) {
-  VertexId n = 0;
-  EdgeStream stream = ShardStream(&n);
-  stream.resize(250);
-  std::vector<QuerySpec> specs = MixedShardSpecs(n);
-  specs.resize(4);
-  for (QuerySpec& spec : specs) spec.space_budget_words = 0;
-
-  EngineStats broker_stats;
-  const std::vector<QueryOutcome> oracle =
-      BrokerOracle(specs, stream, BudgetPolicy(), &broker_stats);
-
-  const std::string dir = TestDir("missing_ckpt");
-  ShardPlanOptions plan = PlanFor(dir, 4);
-  plan.epoch_edges = 20;
-  RunShardedBatch(specs, stream, plan);
-  // Lose one shard's checkpoint entirely: its whole slice re-runs.
-  std::filesystem::remove(dir + "/w0-s2.ckpt");
-
-  ShardBatchResult result;
+// A plan whose workers are real `cyclestream_cli shard-worker` subprocesses
+// streaming a .bin copy of `stream` written into `dir`.
+ShardPlanOptions SubprocessPlan(const std::string& dir, int workers,
+                                const EdgeStream& stream,
+                                VertexId num_vertices) {
+  ShardPlanOptions options = PlanFor(dir, workers);
+  options.launch = ShardLaunch::kSubprocess;
+  options.worker_binary = CYCLESTREAM_CLI_PATH;
+  options.stream_path = dir + "/stream.bin";
   std::string error;
-  ASSERT_TRUE(ResumeShardedBatch(dir + "/epoch.manifest", specs, stream,
-                                 PlanFor(TestDir("missing_ckpt_r"), 3),
-                                 &result, &error))
+  EXPECT_TRUE(WriteBinaryEdgeStream(stream.data(), stream.size(),
+                                    num_vertices, options.stream_path,
+                                    &error))
       << error;
-  ExpectOutcomesIdentical(oracle, result.outcomes);
+  return options;
 }
 
-TEST(CoordinatorTest, RestoreRejectsMismatchedStreamAndSpecs) {
+TEST(CoordinatorTest, RelaunchSurvivesAMissingShardCheckpoint) {
   VertexId n = 0;
   EdgeStream stream = ShardStream(&n);
-  stream.resize(250);
+  stream.resize(120);
   std::vector<QuerySpec> specs = MixedShardSpecs(n);
   specs.resize(4);
   for (QuerySpec& spec : specs) spec.space_budget_words = 0;
 
-  const std::string dir = TestDir("restore_reject");
-  ShardPlanOptions plan = PlanFor(dir, 2);
-  plan.epoch_edges = 20;
-  RunShardedBatch(specs, stream, plan);
-  const std::string manifest = dir + "/epoch.manifest";
+  EngineStats broker_stats;
+  const std::vector<QueryOutcome> oracle =
+      BrokerOracle(specs, stream, BudgetPolicy(), &broker_stats);
 
-  ShardBatchResult result;
-  std::string error;
+  // Worker 1 of 3 dies after two epoch checkpoints (16 and 32 of its 40
+  // edges). Its relaunch goes through a wrapper that deletes the
+  // checkpoint first, so the relaunch must fall back to a scratch run of
+  // the whole slice and still land on the same bits.
+  const std::string dir = TestDir("missing_ckpt");
+  ShardPlanOptions options = SubprocessPlan(dir, 3, stream, n);
+  options.epoch_edges = 16;
+  options.kill_worker = 1;
+  options.kill_after_edges = 32;
+  const std::string wrapper = dir + "/lose-checkpoint.sh";
+  std::ofstream(wrapper)
+      << "#!/bin/sh\n"
+      << "for arg in \"$@\"; do\n"
+      << "  if [ \"$arg\" = --resume ]; then\n"
+      << "    rm " << dir << "/w0-s1.ckpt && echo lost >> " << dir
+      << "/lost.log\n"
+      << "  fi\n"
+      << "done\n"
+      << "exec " << options.worker_binary << " \"$@\"\n";
+  std::filesystem::permissions(wrapper, std::filesystem::perms::owner_exec,
+                               std::filesystem::perm_options::add);
+  options.worker_binary = wrapper;
 
-  // Wrong stream length.
-  EdgeStream shorter = stream;
-  shorter.resize(200);
-  EXPECT_FALSE(ResumeShardedBatch(manifest, specs, shorter,
-                                  PlanFor(TestDir("rr_len"), 2), &result,
-                                  &error));
+  const ShardBatchResult result = RunShardedBatch(specs, stream, options);
+  std::ifstream log(dir + "/lost.log");
+  const std::string lost((std::istreambuf_iterator<char>(log)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(lost, "lost\n");  // The one relaunch found and lost it.
+  EXPECT_EQ(result.workers_recovered, 1u);
+  ExpectOutcomesIdentical(oracle, result.outcomes);
+  ExpectStatsIdentical(broker_stats, result.stats);
+  EXPECT_EQ(LeftoverStateFiles(dir), std::vector<std::string>{});
+}
 
-  // Same length, different contents.
-  EdgeStream mutated = stream;
-  std::swap(mutated.front(), mutated.back());
-  EXPECT_FALSE(ResumeShardedBatch(manifest, specs, mutated,
-                                  PlanFor(TestDir("rr_fp"), 2), &result,
-                                  &error));
-  EXPECT_NE(error.find("fingerprint"), std::string::npos);
+TEST(CoordinatorDeathTest, WorkerFailingTwiceAborts) {
+  VertexId n = 0;
+  EdgeStream stream = ShardStream(&n);
+  stream.resize(60);
+  std::vector<QuerySpec> specs = MixedShardSpecs(n);
+  specs.resize(2);
 
-  // Different query set (seed change flips the spec fingerprint).
-  std::vector<QuerySpec> other = specs;
-  other[0].base.seed ^= 1;
-  EXPECT_FALSE(ResumeShardedBatch(manifest, other, stream,
-                                  PlanFor(TestDir("rr_spec"), 2), &result,
-                                  &error));
-
-  // Multi-wave batches cannot be W-change restored.
-  std::vector<QuerySpec> budgeted = specs;
-  for (QuerySpec& spec : budgeted) spec.space_budget_words = 300;
-  ShardPlanOptions capped = PlanFor(TestDir("rr_wave"), 2);
-  capped.budget.aggregate_words = 500;
-  EXPECT_FALSE(ResumeShardedBatch(manifest, budgeted, stream, capped,
-                                  &result, &error));
-  EXPECT_NE(error.find("single-wave"), std::string::npos);
+  // Every exec fails (the child exits 127): the first launch and the one
+  // relaunch both die, and a shard run has no poisoned outcome to report.
+  const std::string dir = TestDir("missing_binary");
+  ShardPlanOptions options = PlanFor(dir, 1);
+  options.launch = ShardLaunch::kSubprocess;
+  options.worker_binary = dir + "/no-such-worker";
+  options.stream_path = dir + "/stream.bin";
+  EXPECT_DEATH(RunShardedBatch(specs, stream, options),
+               "shard worker 0 failed twice");
 }
 
 // ---------------------------------------------------------------------------
@@ -679,10 +600,10 @@ TEST(ShardWorkerTest, ResumeFromRejectedCheckpointFallsBackToScratch) {
 
 // Durability is for recovery roots only. A final state file is a hand-off
 // to the coordinator: atomic (tmp + rename) but never fsynced, since a
-// torn one fails its CRC and the shard re-runs. Every epoch checkpoint and
-// the epoch manifest still get the full sequence: fsync(tmp file), then
-// fsync(parent directory).
-TEST(ShardWorkerTest, OnlyCheckpointsAndTheEpochManifestAreFsynced) {
+// torn one fails its CRC and the shard re-runs. Every epoch checkpoint
+// still gets the full sequence: fsync(tmp file), then fsync(parent
+// directory).
+TEST(ShardWorkerTest, OnlyCheckpointsAreFsynced) {
   VertexId n = 0;
   EdgeStream stream = ShardStream(&n);
   stream.resize(100);
@@ -722,7 +643,7 @@ TEST(ShardWorkerTest, OnlyCheckpointsAndTheEpochManifestAreFsynced) {
   io::ExchangeSyscallFaults(prev);
   ASSERT_EQ(result.outcomes.size(), specs.size());
 
-  std::vector<std::string> want = {dir + "/epoch.manifest.tmp", dir};
+  std::vector<std::string> want;
   for (int shard = 0; shard < 2; ++shard) {
     for (int epoch = 0; epoch < 2; ++epoch) {
       want.push_back(dir + "/w0-s" + std::to_string(shard) + ".ckpt.tmp");

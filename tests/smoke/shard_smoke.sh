@@ -7,10 +7,12 @@
 # checkpoints. Also probes the hardened front door: a spec file with
 # trailing garbage is rejected with its line number, a non-mergeable kind
 # is refused by `shard`, and a negative size flag aborts instead of
-# wrapping through a size_t cast. The exhaustive in-process variants
-# (every epoch boundary, every worker count, W-change restores) live in
-# tests/shard_test.cc; this script proves the real fork/exec state path
-# and the CLI flag wiring.
+# wrapping through a size_t cast. A shard run deletes each wave's state
+# and checkpoint files once folded and writes no manifest, so the
+# kill+recover run leaves none of them. The exhaustive variants (every
+# epoch boundary, every worker count, a relaunch whose checkpoint was
+# lost) live in tests/shard_test.cc; this script proves the real
+# fork/exec state path and the CLI flag wiring.
 #
 # Usage: shard_smoke.sh CYCLESTREAM_CLI EDGE2BIN WORK_DIR
 # (ctest runs it as `shard_smoke`, label `smoke`). WORK_DIR is removed
@@ -50,6 +52,8 @@ cmp shard_w1.json shard_sub.json
   --json_det_out shard_kill.json 2> recover.log
 grep -q "1 recovered" recover.log
 cmp shard_w1.json shard_kill.json
+left=$(ls sdk | grep -E '[.](ckpt|state|manifest)$' || true)
+test -z "$left" || { echo "shard run left recovery files: $left"; exit 1; }
 
 # Strict spec and flag validation rejects malformed input.
 printf 'name=q0 kind=arb-f2 seed=5x\n' > bad.spec
