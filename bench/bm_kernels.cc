@@ -200,8 +200,7 @@ BENCHMARK(BM_CountSketchUpdateBlock)->Arg(0)->Arg(1);
 // --- Turnstile & windowing (src/stream/dynamic, src/stream/window) --------
 
 // A mixed insert/delete stream: every third edge of a G(n,m) graph is
-// deleted again, so the signed update path (TurnstileSign multiplied into
-// the block kernels) is exercised on both signs.
+// deleted again, so the signed update path is exercised on both signs.
 TurnstileStream BenchTurnstileStream(VertexId* num_vertices) {
   Rng gen(47);
   const EdgeList graph = ErdosRenyiGnm(3000, 60000, gen);

@@ -7,12 +7,15 @@
 #include "hash/kwise_bank.h"
 #include "hash/rng.h"
 #include "sketch/median_of_means.h"
+#include "sketch/signed_slots.h"
 #include "util/check.h"
 #include "util/serialize.h"
 
 namespace cyclestream {
 
-ArbF2FourCycleCounter::ArbF2FourCycleCounter(const Params& params)
+template <typename Slot>
+BasicArbF2FourCycleCounter<Slot>::BasicArbF2FourCycleCounter(
+    const Params& params)
     : params_(params) {
   CHECK_GE(params.num_vertices, 2u);
   CHECK_GT(params.base.epsilon, 0.0);
@@ -50,87 +53,135 @@ ArbF2FourCycleCounter::ArbF2FourCycleCounter(const Params& params)
     alpha_bank.SignAll(v, alpha_.data() + v * c);
     beta_bank.SignAll(v, beta_.data() + v * c);
   }
-  acc_a_.assign(n * c, 0.0);
-  acc_b_.assign(n * c, 0.0);
-  acc_c_.assign(n * c, 0.0);
+  acc_a_.assign(n * c, Slot{0});
+  acc_b_.assign(n * c, Slot{0});
+  acc_c_.assign(n * c, Slot{0});
 }
 
-void ArbF2FourCycleCounter::Apply(const Edge& e, double sign) {
+template <typename Slot>
+template <int kSign>
+void BasicArbF2FourCycleCounter<Slot>::Apply(const Edge& e) {
+  if constexpr (kIntegerSlots) {
+    // A self-loop steps each slot of its one row twice.
+    updates_ = AddSlotSteps(updates_, e.u == e.v ? 2 : 1);
+  }
   const std::size_t c = num_copies_;
-  const signed char* au = alpha_.data() + static_cast<std::size_t>(e.u) * c;
-  const signed char* bu = beta_.data() + static_cast<std::size_t>(e.u) * c;
-  const signed char* av = alpha_.data() + static_cast<std::size_t>(e.v) * c;
-  const signed char* bv = beta_.data() + static_cast<std::size_t>(e.v) * c;
-  double* accA_u = acc_a_.data() + static_cast<std::size_t>(e.u) * c;
-  double* accB_u = acc_b_.data() + static_cast<std::size_t>(e.u) * c;
-  double* accC_u = acc_c_.data() + static_cast<std::size_t>(e.u) * c;
-  double* accA_v = acc_a_.data() + static_cast<std::size_t>(e.v) * c;
-  double* accB_v = acc_b_.data() + static_cast<std::size_t>(e.v) * c;
-  double* accC_v = acc_c_.data() + static_cast<std::size_t>(e.v) * c;
+  const std::size_t u_row = static_cast<std::size_t>(e.u) * c;
+  const std::size_t v_row = static_cast<std::size_t>(e.v) * c;
+  const signed char* au = alpha_.data() + u_row;
+  const signed char* bu = beta_.data() + u_row;
+  const signed char* av = alpha_.data() + v_row;
+  const signed char* bv = beta_.data() + v_row;
+  Slot* accA_u = acc_a_.data() + u_row;
+  Slot* accB_u = acc_b_.data() + u_row;
+  Slot* accC_u = acc_c_.data() + u_row;
+  Slot* accA_v = acc_a_.data() + v_row;
+  Slot* accB_v = acc_b_.data() + v_row;
+  Slot* accC_v = acc_c_.data() + v_row;
+  constexpr Slot kStep = kSign;
   // A_u += α_v etc. (the wedge centered at u gains neighbor v); six
   // contiguous sweeps over the copies.
   for (std::size_t i = 0; i < c; ++i) {
-    accA_u[i] += sign * static_cast<double>(av[i]);
+    accA_u[i] += kStep * static_cast<Slot>(av[i]);
   }
   for (std::size_t i = 0; i < c; ++i) {
-    accB_u[i] += sign * static_cast<double>(bv[i]);
+    accB_u[i] += kStep * static_cast<Slot>(bv[i]);
   }
   for (std::size_t i = 0; i < c; ++i) {
-    accC_u[i] +=
-        sign * static_cast<double>(av[i]) * static_cast<double>(bv[i]);
+    accC_u[i] += kStep * static_cast<Slot>(SignProduct(av[i], bv[i]));
   }
   for (std::size_t i = 0; i < c; ++i) {
-    accA_v[i] += sign * static_cast<double>(au[i]);
+    accA_v[i] += kStep * static_cast<Slot>(au[i]);
   }
   for (std::size_t i = 0; i < c; ++i) {
-    accB_v[i] += sign * static_cast<double>(bu[i]);
+    accB_v[i] += kStep * static_cast<Slot>(bu[i]);
   }
   for (std::size_t i = 0; i < c; ++i) {
-    accC_v[i] +=
-        sign * static_cast<double>(au[i]) * static_cast<double>(bu[i]);
+    accC_v[i] += kStep * static_cast<Slot>(SignProduct(au[i], bu[i]));
   }
 }
 
-void ArbF2FourCycleCounter::StartPass(int pass, std::size_t stream_length) {
+template <typename Slot>
+void BasicArbF2FourCycleCounter<Slot>::Insert(const Edge& e) {
+  Apply<+1>(e);
+}
+
+template <typename Slot>
+void BasicArbF2FourCycleCounter<Slot>::Delete(const Edge& e) {
+  Apply<-1>(e);
+}
+
+template <typename Slot>
+void BasicArbF2FourCycleCounter<Slot>::StartPass(int pass,
+                                                 std::size_t stream_length) {
   CHECK_EQ(pass, 0);
   (void)stream_length;
 }
 
-void ArbF2FourCycleCounter::ProcessEdge(int pass, const Edge& e,
-                                        std::size_t position) {
+template <typename Slot>
+void BasicArbF2FourCycleCounter<Slot>::ProcessEdge(int pass, const Edge& e,
+                                                   std::size_t position) {
   (void)pass;
   (void)position;
   Insert(e);
 }
 
-void ArbF2FourCycleCounter::Rescale(double factor) {
+template <typename Slot>
+void BasicArbF2FourCycleCounter<Slot>::Rescale(double factor)
+  requires(!kIntegerSlots)
+{
   for (double& x : acc_a_) x *= factor;
   for (double& x : acc_b_) x *= factor;
   for (double& x : acc_c_) x *= factor;
 }
 
-void ArbF2FourCycleCounter::EndPass(int pass) { (void)pass; }
-
-double ArbF2FourCycleCounter::F2Estimate() const {
-  const std::size_t n = params_.num_vertices;
-  const std::size_t c = num_copies_;
-  const double* pa = acc_a_.data();
-  const double* pb = acc_b_.data();
-  const double* pc = acc_c_.data();
-  square_scratch_.resize(c);
-  for (std::size_t i = 0; i < c; ++i) {
-    double z = 0.0;
-    for (std::size_t t = 0; t < n; ++t) {
-      z += (pa[t * c + i] * pb[t * c + i] - pc[t * c + i]) / 2.0;
-    }
-    // E[Z²] = F₂/2 (see AdjF2FourCycleCounter::EndPass): rescale by 2.
-    square_scratch_[i] = 2.0 * z * z;
-  }
-  return MedianOfMeans(square_scratch_,
-                       static_cast<std::size_t>(params_.groups));
+template <typename Slot>
+void BasicArbF2FourCycleCounter<Slot>::EndPass(int pass) {
+  (void)pass;
 }
 
-Estimate ArbF2FourCycleCounter::Result() const {
+template <typename Slot>
+double BasicArbF2FourCycleCounter<Slot>::F2Estimate() const {
+  const std::size_t n = params_.num_vertices;
+  const std::size_t c = num_copies_;
+  // Z_c = Σ_t (A_t·B_t − C_t)/2, streamed row by row: row t is the
+  // contiguous C-slot run at t·C. Integer slots sum in 64 bits; an edge
+  // steps two rows, so Σ_t |A_t| ≤ 2·updates_ and the sum is at most
+  // 2·updates_² + 2·updates_ < 2^63 in magnitude. It is accumulated as
+  // uint64 (wrapping, never undefined) and exact whenever it fits in
+  // int64, which the step bound guarantees for every state built by ingest
+  // and merge. Double slots keep the decay path's per-term halving.
+  using Sum = std::conditional_t<kIntegerSlots, std::uint64_t, double>;
+  std::vector<Sum> sums(c, Sum{0});
+  for (std::size_t t = 0; t < n; ++t) {
+    const Slot* a = acc_a_.data() + t * c;
+    const Slot* b = acc_b_.data() + t * c;
+    const Slot* cc = acc_c_.data() + t * c;
+    for (std::size_t i = 0; i < c; ++i) {
+      if constexpr (kIntegerSlots) {
+        sums[i] += static_cast<std::uint64_t>(
+            std::int64_t{a[i]} * std::int64_t{b[i]} - std::int64_t{cc[i]});
+      } else {
+        sums[i] += (a[i] * b[i] - cc[i]) / 2.0;
+      }
+    }
+  }
+  std::vector<double> squares(c);
+  for (std::size_t i = 0; i < c; ++i) {
+    double z;
+    if constexpr (kIntegerSlots) {
+      z = static_cast<double>(static_cast<std::int64_t>(sums[i])) / 2.0;
+    } else {
+      z = sums[i];
+    }
+    // E[Z²] = F₂/2 (see AdjF2FourCycleCounter::EndPass): rescale by 2.
+    squares[i] = 2.0 * z * z;
+  }
+  return MedianOfMeans(squares, static_cast<std::size_t>(params_.groups));
+}
+
+template <typename Slot>
+Estimate BasicArbF2FourCycleCounter<Slot>::Result() const {
   Estimate result;
   result.value =
       std::max(0.0, (F2Estimate() - params_.f1_correction) / 4.0);
@@ -140,72 +191,94 @@ Estimate ArbF2FourCycleCounter::Result() const {
   return result;
 }
 
-bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
-  // Only the accumulators are stream-dependent; the sign caches are
-  // constructor-derived from the fingerprinted seed.
+template <typename Slot>
+bool BasicArbF2FourCycleCounter<Slot>::SaveState(StateWriter& w) const {
+  // Only the accumulators (and their step count) are stream-dependent;
+  // the sign caches are constructor-derived from the fingerprinted seed.
   w.U32(params_.num_vertices);
   w.Size(num_copies_);
   w.I64(params_.groups);
   w.Double(params_.base.epsilon);
   w.U64(params_.base.seed);
   w.Double(params_.f1_correction);
+  if constexpr (kIntegerSlots) w.U64(updates_);
   w.Vec(acc_a_);
   w.Vec(acc_b_);
   w.Vec(acc_c_);
   return true;
 }
 
-bool ArbF2FourCycleCounter::ParseState(StateReader& r,
-                                       std::string_view arrays[3]) const {
+template <typename Slot>
+bool BasicArbF2FourCycleCounter<Slot>::ParseState(
+    StateReader& r, std::string_view arrays[3],
+    std::uint64_t* updates) const {
   if (r.U32() != params_.num_vertices || r.Size() != num_copies_ ||
       r.I64() != params_.groups || r.Double() != params_.base.epsilon ||
       r.U64() != params_.base.seed || r.Double() != params_.f1_correction) {
     return r.Fail();
   }
-  const std::size_t bytes = acc_a_.size() * sizeof(double);
+  *updates = 0;
+  if constexpr (kIntegerSlots) {
+    *updates = r.U64();
+    if (!r.ok() || *updates > kMaxSlotSteps) return r.Fail();
+  }
+  const std::size_t bytes = acc_a_.size() * sizeof(Slot);
   for (int k = 0; k < 3; ++k) {
-    if (!r.VecBytes<double>(&arrays[k])) return false;
+    if (!r.VecBytes<Slot>(&arrays[k])) return false;
     if (arrays[k].size() != bytes) return r.Fail();
   }
   return true;
 }
 
-bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
+template <typename Slot>
+bool BasicArbF2FourCycleCounter<Slot>::RestoreState(StateReader& r) {
   std::string_view arrays[3];
-  if (!ParseState(r, arrays)) return false;
-  // Zero, then fold. -0.0 is the additive identity for every double (+0.0
-  // is not for -0.0), so the fold below is a bit-exact copy of the blob.
-  std::fill(acc_a_.begin(), acc_a_.end(), -0.0);
-  std::fill(acc_b_.begin(), acc_b_.end(), -0.0);
-  std::fill(acc_c_.begin(), acc_c_.end(), -0.0);
-  AddArrays(arrays);
-  return true;
-}
-
-bool ArbF2FourCycleCounter::MergeState(StateReader& r) {
-  std::string_view arrays[3];
-  if (!ParseState(r, arrays) || !r.AtEnd()) return r.Fail();
-  AddArrays(arrays);
-  return true;
-}
-
-void ArbF2FourCycleCounter::AddArrays(const std::string_view arrays[3]) {
-  double* const accs[3] = {acc_a_.data(), acc_b_.data(), acc_c_.data()};
-  for (int k = 0; k < 3; ++k) {
-    // The blob sits at an arbitrary offset of a mapped file: load each
-    // little-endian double with memcpy (one unaligned load after
-    // optimization), never through a cast pointer.
-    const char* src = arrays[k].data();
-    double* acc = accs[k];
-    for (std::size_t i = 0; i < acc_a_.size(); ++i) {
-      double x;
-      std::memcpy(&x, src + i * sizeof(double), sizeof(double));
-      acc[i] += x;
+  std::uint64_t updates = 0;
+  if (!ParseState(r, arrays, &updates)) return false;
+  if constexpr (kIntegerSlots) {
+    // A slot beyond the blob's own step count cannot come from a counter.
+    for (int k = 0; k < 3; ++k) {
+      if (!SlotsWithin<Slot>(arrays[k].data(), acc_a_.size(), updates)) {
+        return r.Fail();
+      }
     }
   }
+  Slot* const accs[3] = {acc_a_.data(), acc_b_.data(), acc_c_.data()};
+  for (int k = 0; k < 3; ++k) {
+    std::memcpy(accs[k], arrays[k].data(), arrays[k].size());
+  }
+  updates_ = updates;
+  return true;
 }
 
-bool ArbF2FourCycleCounter::MergeFrom(const ArbF2FourCycleCounter& rhs) {
+template <typename Slot>
+bool BasicArbF2FourCycleCounter<Slot>::MergeState(StateReader& r) {
+  std::string_view arrays[3];
+  std::uint64_t updates = 0;
+  if (!ParseState(r, arrays, &updates) || !r.AtEnd()) return r.Fail();
+  Slot* const accs[3] = {acc_a_.data(), acc_b_.data(), acc_c_.data()};
+  const std::size_t n = acc_a_.size();
+  if constexpr (kIntegerSlots) {
+    const std::uint64_t merged = AddSlotSteps(updates_, updates);
+    for (int k = 0; k < 3; ++k) {
+      if (!AddSlotsWithin<Slot>(arrays[k].data(), n, updates, accs[k])) {
+        // As RestoreState: reject, leaving this counter untouched.
+        for (int j = 0; j < k; ++j) {
+          AddSlots<Slot, -1>(arrays[j].data(), n, accs[j]);
+        }
+        return r.Fail();
+      }
+    }
+    updates_ = merged;
+  } else {
+    for (int k = 0; k < 3; ++k) AddSlots<Slot>(arrays[k].data(), n, accs[k]);
+  }
+  return true;
+}
+
+template <typename Slot>
+bool BasicArbF2FourCycleCounter<Slot>::MergeFrom(
+    const BasicArbF2FourCycleCounter& rhs) {
   // The same config fields RestoreState fingerprints — a merge across
   // mismatched seeds or dimensions would be silent garbage.
   if (rhs.params_.num_vertices != params_.num_vertices ||
@@ -216,14 +289,18 @@ bool ArbF2FourCycleCounter::MergeFrom(const ArbF2FourCycleCounter& rhs) {
       rhs.params_.f1_correction != params_.f1_correction) {
     return false;
   }
+  updates_ = AddSlotSteps(updates_, rhs.updates_);
   for (std::size_t i = 0; i < acc_a_.size(); ++i) acc_a_[i] += rhs.acc_a_[i];
   for (std::size_t i = 0; i < acc_b_.size(); ++i) acc_b_[i] += rhs.acc_b_[i];
   for (std::size_t i = 0; i < acc_c_.size(); ++i) acc_c_[i] += rhs.acc_c_[i];
   return true;
 }
 
+template class BasicArbF2FourCycleCounter<std::int32_t>;
+template class BasicArbF2FourCycleCounter<double>;
+
 Estimate CountFourCyclesArbF2(const EdgeStream& stream,
-                              const ArbF2FourCycleCounter::Params& params) {
+                              const ArbF2Params& params) {
   ArbF2FourCycleCounter counter(params);
   RunEdgeStream(counter, stream);
   return counter.Result();

@@ -2,25 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "hash/kwise_bank.h"
 #include "hash/rng.h"
 #include "sketch/median_of_means.h"
+#include "sketch/signed_slots.h"
 #include "util/check.h"
 #include "util/serialize.h"
 
 namespace cyclestream {
 
-// --- TurnstileF2FourCycleCounter ------------------------------------------
+// --- BasicTurnstileF2FourCycleCounter -------------------------------------
 
-void TurnstileF2FourCycleCounter::StartPass(int pass,
-                                            std::size_t stream_length) {
+template <typename Slot>
+void BasicTurnstileF2FourCycleCounter<Slot>::StartPass(
+    int pass, std::size_t stream_length) {
   inner_.StartPass(pass, stream_length);
 }
 
-void TurnstileF2FourCycleCounter::ProcessUpdate(int pass,
-                                                const TurnstileUpdate& u,
-                                                std::size_t position) {
+template <typename Slot>
+void BasicTurnstileF2FourCycleCounter<Slot>::ProcessUpdate(
+    int pass, const TurnstileUpdate& u, std::size_t position) {
   (void)pass;
   (void)position;
   if (u.op == TurnstileOp::kInsert) {
@@ -30,31 +33,49 @@ void TurnstileF2FourCycleCounter::ProcessUpdate(int pass,
   }
 }
 
-void TurnstileF2FourCycleCounter::EndPass(int pass) { inner_.EndPass(pass); }
-
-bool TurnstileF2FourCycleCounter::Rescale(double factor) {
-  inner_.Rescale(factor);
-  return true;
+template <typename Slot>
+void BasicTurnstileF2FourCycleCounter<Slot>::EndPass(int pass) {
+  inner_.EndPass(pass);
 }
 
-bool TurnstileF2FourCycleCounter::SaveState(StateWriter& w) const {
+template <typename Slot>
+bool BasicTurnstileF2FourCycleCounter<Slot>::Rescale(double factor) {
+  if constexpr (std::is_integral_v<Slot>) {
+    (void)factor;
+    return false;
+  } else {
+    inner_.Rescale(factor);
+    return true;
+  }
+}
+
+template <typename Slot>
+bool BasicTurnstileF2FourCycleCounter<Slot>::SaveState(StateWriter& w) const {
   return inner_.SaveState(w);
 }
 
-bool TurnstileF2FourCycleCounter::RestoreState(StateReader& r) {
+template <typename Slot>
+bool BasicTurnstileF2FourCycleCounter<Slot>::RestoreState(StateReader& r) {
   return inner_.RestoreState(r);
 }
 
-bool TurnstileF2FourCycleCounter::MergeFrom(
+template <typename Slot>
+bool BasicTurnstileF2FourCycleCounter<Slot>::MergeFrom(
     const TurnstileStreamAlgorithm& other) {
   if (other.CheckpointId() != CheckpointId()) return false;
-  const auto& rhs = static_cast<const TurnstileF2FourCycleCounter&>(other);
+  const auto& rhs =
+      static_cast<const BasicTurnstileF2FourCycleCounter&>(other);
   return inner_.MergeFrom(rhs.inner_);
 }
 
-// --- TurnstileF2TriangleCounter -------------------------------------------
+template class BasicTurnstileF2FourCycleCounter<std::int32_t>;
+template class BasicTurnstileF2FourCycleCounter<double>;
 
-TurnstileF2TriangleCounter::TurnstileF2TriangleCounter(const Params& params)
+// --- BasicTurnstileF2TriangleCounter --------------------------------------
+
+template <typename Slot>
+BasicTurnstileF2TriangleCounter<Slot>::BasicTurnstileF2TriangleCounter(
+    const Params& params)
     : params_(params) {
   CHECK_GE(params.num_vertices, 2u);
   CHECK_GT(params.base.epsilon, 0.0);
@@ -81,39 +102,53 @@ TurnstileF2TriangleCounter::TurnstileF2TriangleCounter(const Params& params)
   for (std::size_t v = 0; v < n; ++v) {
     bank.SignAll(v, sigma_.data() + v * c);
   }
-  z_.assign(c, 0.0);
+  z_.assign(c, Slot{0});
 }
 
-void TurnstileF2TriangleCounter::Apply(const Edge& e, double sign) {
+template <typename Slot>
+template <int kSign>
+void BasicTurnstileF2TriangleCounter<Slot>::Apply(const Edge& e) {
+  if constexpr (kIntegerSlots) updates_ = AddSlotSteps(updates_, 1);
   const std::size_t c = num_copies_;
   const signed char* su = sigma_.data() + static_cast<std::size_t>(e.u) * c;
   const signed char* sv = sigma_.data() + static_cast<std::size_t>(e.v) * c;
+  constexpr Slot kStep = kSign;
   for (std::size_t i = 0; i < c; ++i) {
-    z_[i] += sign * static_cast<double>(su[i]) * static_cast<double>(sv[i]);
+    z_[i] += kStep * static_cast<Slot>(SignProduct(su[i], sv[i]));
   }
 }
 
-void TurnstileF2TriangleCounter::StartPass(int pass,
-                                           std::size_t stream_length) {
+template <typename Slot>
+void BasicTurnstileF2TriangleCounter<Slot>::StartPass(
+    int pass, std::size_t stream_length) {
   CHECK_EQ(pass, 0);
   (void)stream_length;
 }
 
-void TurnstileF2TriangleCounter::ProcessUpdate(int pass,
-                                               const TurnstileUpdate& u,
-                                               std::size_t position) {
+template <typename Slot>
+void BasicTurnstileF2TriangleCounter<Slot>::ProcessUpdate(
+    int pass, const TurnstileUpdate& u, std::size_t position) {
   (void)pass;
   (void)position;
-  Apply(u.edge, TurnstileSign(u.op));
+  if (u.op == TurnstileOp::kInsert) {
+    Apply<+1>(u.edge);
+  } else {
+    Apply<-1>(u.edge);
+  }
 }
 
-void TurnstileF2TriangleCounter::EndPass(int pass) { (void)pass; }
+template <typename Slot>
+void BasicTurnstileF2TriangleCounter<Slot>::EndPass(int pass) {
+  (void)pass;
+}
 
-Estimate TurnstileF2TriangleCounter::Result() const {
+template <typename Slot>
+Estimate BasicTurnstileF2TriangleCounter<Slot>::Result() const {
   const std::size_t c = num_copies_;
   cube_scratch_.resize(c);
   for (std::size_t i = 0; i < c; ++i) {
-    const double z = z_[i];
+    // |Z| ≤ 2^31 − 1 on integer slots: the conversion is exact.
+    const double z = static_cast<double>(z_[i]);
     cube_scratch_[i] = z * z * z / 6.0;
   }
   Estimate result;
@@ -126,40 +161,61 @@ Estimate TurnstileF2TriangleCounter::Result() const {
   return result;
 }
 
-bool TurnstileF2TriangleCounter::Rescale(double factor) {
-  for (double& z : z_) z *= factor;
-  return true;
+template <typename Slot>
+bool BasicTurnstileF2TriangleCounter<Slot>::Rescale(double factor) {
+  if constexpr (kIntegerSlots) {
+    (void)factor;
+    return false;
+  } else {
+    for (double& z : z_) z *= factor;
+    return true;
+  }
 }
 
-bool TurnstileF2TriangleCounter::SaveState(StateWriter& w) const {
-  // Only the Z counters are stream-dependent; the sign cache is
-  // constructor-derived from the fingerprinted seed.
+template <typename Slot>
+bool BasicTurnstileF2TriangleCounter<Slot>::SaveState(StateWriter& w) const {
+  // Only the Z counters (and their step count) are stream-dependent; the
+  // sign cache is constructor-derived from the fingerprinted seed.
   w.U32(params_.num_vertices);
   w.Size(num_copies_);
   w.I64(params_.groups);
   w.Double(params_.base.epsilon);
   w.U64(params_.base.seed);
+  if constexpr (kIntegerSlots) w.U64(updates_);
   w.Vec(z_);
   return true;
 }
 
-bool TurnstileF2TriangleCounter::RestoreState(StateReader& r) {
+template <typename Slot>
+bool BasicTurnstileF2TriangleCounter<Slot>::RestoreState(StateReader& r) {
   if (r.U32() != params_.num_vertices || r.Size() != num_copies_ ||
       r.I64() != params_.groups || r.Double() != params_.base.epsilon ||
       r.U64() != params_.base.seed) {
     return r.Fail();
   }
-  std::vector<double> z;
-  if (!r.Vec(&z)) return false;
-  if (z.size() != z_.size()) return r.Fail();
-  z_ = std::move(z);
+  std::uint64_t updates = 0;
+  if constexpr (kIntegerSlots) {
+    updates = r.U64();
+    if (!r.ok() || updates > kMaxSlotSteps) return r.Fail();
+  }
+  std::string_view bytes;
+  if (!r.VecBytes<Slot>(&bytes)) return false;
+  if (bytes.size() != z_.size() * sizeof(Slot)) return r.Fail();
+  if constexpr (kIntegerSlots) {
+    if (!SlotsWithin<Slot>(bytes.data(), z_.size(), updates)) {
+      return r.Fail();
+    }
+  }
+  std::memcpy(z_.data(), bytes.data(), bytes.size());
+  updates_ = updates;
   return true;
 }
 
-bool TurnstileF2TriangleCounter::MergeFrom(
+template <typename Slot>
+bool BasicTurnstileF2TriangleCounter<Slot>::MergeFrom(
     const TurnstileStreamAlgorithm& other) {
   if (other.CheckpointId() != CheckpointId()) return false;
-  const auto& rhs = static_cast<const TurnstileF2TriangleCounter&>(other);
+  const auto& rhs = static_cast<const BasicTurnstileF2TriangleCounter&>(other);
   if (rhs.params_.num_vertices != params_.num_vertices ||
       rhs.num_copies_ != num_copies_ ||
       rhs.params_.groups != params_.groups ||
@@ -167,8 +223,12 @@ bool TurnstileF2TriangleCounter::MergeFrom(
       rhs.params_.base.seed != params_.base.seed) {
     return false;
   }
+  updates_ = AddSlotSteps(updates_, rhs.updates_);
   for (std::size_t i = 0; i < z_.size(); ++i) z_[i] += rhs.z_[i];
   return true;
 }
+
+template class BasicTurnstileF2TriangleCounter<std::int64_t>;
+template class BasicTurnstileF2TriangleCounter<double>;
 
 }  // namespace cyclestream

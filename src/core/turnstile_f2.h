@@ -2,6 +2,7 @@
 #define CYCLESTREAM_CORE_TURNSTILE_F2_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/arb_f2_counter.h"
@@ -23,11 +24,15 @@ namespace cyclestream {
 /// adapter. On an insert-only turnstile stream the inner state, and hence
 /// the estimate, is bit-identical to the arb-f2 query kind with the same
 /// Params (same seed chain, same accumulator layout, same update order).
-class TurnstileF2FourCycleCounter : public TurnstileStreamAlgorithm {
+///
+/// Integer slots (int32) unless the query decays: see the slot note on
+/// BasicArbF2FourCycleCounter. Rescale succeeds only on double slots.
+template <typename Slot>
+class BasicTurnstileF2FourCycleCounter : public TurnstileStreamAlgorithm {
  public:
-  using Params = ArbF2FourCycleCounter::Params;
+  using Params = ArbF2Params;
 
-  explicit TurnstileF2FourCycleCounter(const Params& params)
+  explicit BasicTurnstileF2FourCycleCounter(const Params& params)
       : inner_(params) {}
 
   void StartPass(int pass, std::size_t stream_length) override;
@@ -36,16 +41,26 @@ class TurnstileF2FourCycleCounter : public TurnstileStreamAlgorithm {
   void EndPass(int pass) override;
   Estimate Result() const override { return inner_.Result(); }
   bool Rescale(double factor) override;
-  std::string_view CheckpointId() const override { return "turnstile-c4/1"; }
+  std::string_view CheckpointId() const override {
+    return std::is_integral_v<Slot> ? "turnstile-c4/2" : "turnstile-c4/1";
+  }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;
   bool MergeFrom(const TurnstileStreamAlgorithm& other) override;
 
-  const ArbF2FourCycleCounter& inner() const { return inner_; }
+  const BasicArbF2FourCycleCounter<Slot>& inner() const { return inner_; }
 
  private:
-  ArbF2FourCycleCounter inner_;
+  BasicArbF2FourCycleCounter<Slot> inner_;
 };
+
+extern template class BasicTurnstileF2FourCycleCounter<std::int32_t>;
+extern template class BasicTurnstileF2FourCycleCounter<double>;
+
+using TurnstileF2FourCycleCounter =
+    BasicTurnstileF2FourCycleCounter<std::int32_t>;
+using DecayTurnstileF2FourCycleCounter =
+    BasicTurnstileF2FourCycleCounter<double>;
 
 /// Triangle counting in the turnstile model via the cubic sign sketch:
 /// each copy keeps the single counter Z_c = Σ_e x_e·σ_c(u)·σ_c(v) with
@@ -58,16 +73,23 @@ class TurnstileF2FourCycleCounter : public TurnstileStreamAlgorithm {
 /// O(1) counters per copy (plus the per-vertex sign cache), the state is
 /// linear in x, and deletions are sign −1 updates — the triangle-side
 /// counterpart the insert-only algorithms (A–D) cannot offer.
-class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
- public:
-  struct Params {
-    ApproxConfig base;
-    VertexId num_vertices = 0;
-    int copies_per_group = -1;  // <= 0 derives ⌈2/ε²⌉ capped at 512.
-    int groups = 9;
-  };
+///
+/// Z_c is an int64 slot bounded by the step count `updates_` (kMaxSlotSteps,
+/// sketch/signed_slots.h), except on the decay path, which keeps doubles.
+struct TurnstileF2TriangleParams {
+  ApproxConfig base;
+  VertexId num_vertices = 0;
+  int copies_per_group = -1;  // <= 0 derives ⌈2/ε²⌉ capped at 512.
+  int groups = 9;
+};
 
-  explicit TurnstileF2TriangleCounter(const Params& params);
+template <typename Slot>
+class BasicTurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
+ public:
+  using Params = TurnstileF2TriangleParams;
+  static constexpr bool kIntegerSlots = std::is_integral_v<Slot>;
+
+  explicit BasicTurnstileF2TriangleCounter(const Params& params);
 
   void StartPass(int pass, std::size_t stream_length) override;
   void ProcessUpdate(int pass, const TurnstileUpdate& u,
@@ -75,22 +97,32 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
   void EndPass(int pass) override;
   Estimate Result() const override;
   bool Rescale(double factor) override;
-  std::string_view CheckpointId() const override { return "turnstile-tri/1"; }
+  std::string_view CheckpointId() const override {
+    return kIntegerSlots ? "turnstile-tri/2" : "turnstile-tri/1";
+  }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;
   bool MergeFrom(const TurnstileStreamAlgorithm& other) override;
 
  private:
-  void Apply(const Edge& e, double sign);
+  template <int kSign>
+  void Apply(const Edge& e);
 
   Params params_;
   std::size_t num_copies_ = 0;
   // ±1 sign cache, copy-minor: sigma_[v·C + c] for vertex v, copy c.
   std::vector<signed char> sigma_;
-  // Per-copy counters Z_c (exact integers while |Z| < 2^53).
-  std::vector<double> z_;
+  // Per-copy counters Z_c; each |Z_c| ≤ updates_ (integer slots only).
+  std::vector<Slot> z_;
+  std::uint64_t updates_ = 0;
   mutable std::vector<double> cube_scratch_;
 };
+
+extern template class BasicTurnstileF2TriangleCounter<std::int64_t>;
+extern template class BasicTurnstileF2TriangleCounter<double>;
+
+using TurnstileF2TriangleCounter = BasicTurnstileF2TriangleCounter<std::int64_t>;
+using DecayTurnstileF2TriangleCounter = BasicTurnstileF2TriangleCounter<double>;
 
 }  // namespace cyclestream
 

@@ -33,6 +33,14 @@ AdjacencyQuery WrapAdjacency(std::unique_ptr<Alg> alg) {
   return AdjacencyQuery{std::move(alg), [raw] { return raw->Result(); }};
 }
 
+// A factory for the integer-slot estimator, or for its double-slot twin
+// when the query decays.
+template <typename Exact, typename Decay, typename Params>
+TurnstileAlgorithmFactory MakeFactory(const Params& p, bool decayed) {
+  if (decayed) return [p] { return std::make_unique<Decay>(p); };
+  return [p] { return std::make_unique<Exact>(p); };
+}
+
 }  // namespace
 
 std::string_view QueryKindName(QueryKind kind) {
@@ -267,21 +275,25 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
 
   // The factory builds a fresh base estimator with the spec's exact
   // result-affecting configuration — called once for an unwindowed query,
-  // once per bucket (plus once per Result()) for a windowed one.
+  // once per bucket (plus once per Result()) for a windowed one. Integer
+  // slots everywhere except under decay, whose 2^-k rescale needs doubles.
+  const bool decayed = spec.decay_epoch_edges > 0;
   TurnstileAlgorithmFactory factory;
   switch (spec.kind) {
     case QueryKind::kTurnstileF2Triangle: {
-      TurnstileF2TriangleCounter::Params p;
+      TurnstileF2TriangleParams p;
       p.base = spec.base;
       p.num_vertices = spec.num_vertices;
-      factory = [p] { return std::make_unique<TurnstileF2TriangleCounter>(p); };
+      factory = MakeFactory<TurnstileF2TriangleCounter,
+                            DecayTurnstileF2TriangleCounter>(p, decayed);
       break;
     }
     case QueryKind::kTurnstileF2C4: {
-      TurnstileF2FourCycleCounter::Params p;
+      ArbF2Params p;
       p.base = spec.base;
       p.num_vertices = spec.num_vertices;
-      factory = [p] { return std::make_unique<TurnstileF2FourCycleCounter>(p); };
+      factory = MakeFactory<TurnstileF2FourCycleCounter,
+                            DecayTurnstileF2FourCycleCounter>(p, decayed);
       break;
     }
     default:
@@ -294,7 +306,7 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
     alg = std::make_unique<SlidingWindowAlgorithm>(
         factory, probe->CheckpointId(), spec.window_edges,
         spec.window_buckets);
-  } else if (spec.decay_epoch_edges > 0) {
+  } else if (decayed) {
     alg = std::make_unique<DecayAlgorithm>(factory(), spec.decay_epoch_edges,
                                            spec.decay_log2);
   } else {

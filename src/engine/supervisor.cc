@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -580,8 +581,9 @@ namespace {
 // The one wave loop behind `serve --daemon` (RunSupervisedBatch) and
 // `shard` (RunShardedBatch). `resumable` is the only difference between
 // them: a daemon persists its admission frontier in the daemon manifest,
-// keeps every wave's states and checkpoints for a later --resume, and
-// poisons a wave whose worker runs out of attempts; a shard run writes no
+// keeps every wave's final states for a later --resume (and a folded
+// wave's checkpoints until the next manifest write), and poisons a wave
+// whose worker runs out of attempts; a shard run writes no
 // manifest, deletes each wave's states and checkpoints once they are
 // folded (nothing reads them again), and aborts instead of poisoning.
 bool RunWaves(const std::vector<QuerySpec>& specs,
@@ -636,6 +638,10 @@ bool RunWaves(const std::vector<QuerySpec>& specs,
   base.block_edges = plan.block_edges;
   base.aggregate_words = plan.budget.aggregate_words;
   base.per_query_words = plan.budget.per_query_words;
+  // Checkpoints of folded waves. Once a manifest written after the fold
+  // exists, a resume re-collects such a wave from its final states and
+  // never reads these, so each write deletes them.
+  std::vector<std::string> folded_checkpoints;
   auto save_manifest = [&](std::uint32_t waves_started,
                            const std::vector<std::size_t>& pending,
                            bool drained, bool completed) {
@@ -647,6 +653,10 @@ bool RunWaves(const std::vector<QuerySpec>& specs,
     m.completed = completed ? 1 : 0;
     std::string werr;
     CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
+    for (const std::string& path : folded_checkpoints) {
+      std::remove(path.c_str());
+    }
+    folded_checkpoints.clear();
   };
 
   DaemonManifest prev;
@@ -743,9 +753,20 @@ bool RunWaves(const std::vector<QuerySpec>& specs,
         save_manifest(waves_started, queued, false, false);
 
         // A drain that lands between waves stops with nothing in flight.
+        const bool drained = SupervisorDrainRequested();
+        // Subprocess workers leave this process idle in its reap loop, so
+        // it builds the merge targets meanwhile. The in-process launch
+        // builds them after its workers return, so they never add a replica
+        // to its peak. A drained or poisoned wave drops them.
+        std::future<std::vector<EdgeQuery>> targets;
+        if (subprocess && !drained) {
+          targets = std::async(std::launch::async, [&wave_specs] {
+            return MakeMergeTargets(wave_specs);
+          });
+        }
         std::vector<MappedShardState> states;
         const WaveStatus status =
-            SupervisorDrainRequested() ? WaveStatus::kDrained
+            drained ? WaveStatus::kDrained
             : subprocess
                 ? RunWaveSubprocess(launches, wave_specs, options, spec_path,
                                     wave, resumable, &states, &out.counters)
@@ -770,18 +791,20 @@ bool RunWaves(const std::vector<QuerySpec>& specs,
           return true;  // The daemon outlives the wave.
         }
 
-        std::vector<EdgeQuery> merged = MakeMergeTargets(wave_specs);
+        std::vector<EdgeQuery> merged =
+            subprocess ? targets.get() : MakeMergeTargets(wave_specs);
         FoldCollectedStates(wave_specs, std::move(states), merged);
         FinalizeShardWave(admitted, wave, edges.size(), merged, out.outcomes,
                           stats);
         ++out.counters.waves_completed;
-        if (!resumable) {
-          for (const WorkerLaunch& launch : launches) {
-            std::remove(launch.state_path.c_str());
-            if (!launch.config.checkpoint_path.empty()) {
-              std::remove(launch.config.checkpoint_path.c_str());
-            }
+        for (const WorkerLaunch& launch : launches) {
+          const std::string& ckpt = launch.config.checkpoint_path;
+          if (resumable) {
+            if (!ckpt.empty()) folded_checkpoints.push_back(ckpt);
+            continue;
           }
+          std::remove(launch.state_path.c_str());
+          if (!ckpt.empty()) std::remove(ckpt.c_str());
         }
         return true;
       });

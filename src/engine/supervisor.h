@@ -160,7 +160,9 @@ void InstallDrainHandlers();
 /// durably to `<shard_dir>/daemon.manifest` at every wave start and
 /// rewritten on drain/completion. Per-shard progress lives in worker
 /// checkpoint/state files; the manifest holds the batch identity and the
-/// admission frontier.
+/// admission frontier. Each write deletes the checkpoints of the waves
+/// folded before it: a resume re-collects those waves from their final
+/// states, which are kept.
 struct DaemonManifest {
   std::uint64_t stream_fingerprint = 0;
   std::uint64_t stream_length = 0;

@@ -99,9 +99,10 @@ class EdgeStreamAlgorithm {
   /// seed, dimensions — and exact sizes, with nothing trailing) before it
   /// mutates, returning false and leaving this instance untouched on any
   /// mismatch, and (b) be exact: for the sketches here every accumulator
-  /// slot is an exact integer well under 2^53, so the fold is integer
-  /// addition in doubles — associative, and bit-identical to the unsharded
-  /// run at any shard count. Default: not mergeable.
+  /// slot is an integer bounded by the state's step count
+  /// (sketch/signed_slots.h), so the fold is integer addition —
+  /// associative, and bit-identical to the unsharded run at any shard
+  /// count. Default: not mergeable.
   virtual bool MergeState(StateReader& r) {
     (void)r;
     return false;

@@ -26,13 +26,6 @@ class StateReader;
 /// binary turnstile format (turnstile_io.h); keep them stable.
 enum class TurnstileOp : std::uint8_t { kInsert = 0, kDelete = 1 };
 
-/// ±1.0 update sign: every accumulator delta is sign · (±1 term), an exact
-/// small integer, which is what makes cancellation and merges bit-exact
-/// (DESIGN.md §13.2).
-inline double TurnstileSign(TurnstileOp op) {
-  return op == TurnstileOp::kInsert ? +1.0 : -1.0;
-}
-
 /// One turnstile stream element: an edge plus its operation.
 struct TurnstileUpdate {
   Edge edge;
@@ -87,7 +80,7 @@ class TurnstileStreamAlgorithm {
   /// hook. Exact power-of-two factors keep the rescale lossless in IEEE
   /// doubles (a pure exponent shift), which is what makes decayed runs
   /// thread- and block-size-invariant. Returns false (no mutation) if the
-  /// algorithm does not support rescaling.
+  /// algorithm does not support rescaling, as integer-slot sketches do not.
   virtual bool Rescale(double factor) {
     (void)factor;
     return false;

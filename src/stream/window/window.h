@@ -95,10 +95,12 @@ class SlidingWindowAlgorithm : public TurnstileStreamAlgorithm {
 /// power of two: rescaling is a pure IEEE exponent shift (lossless per
 /// slot), and epochs are fixed stream positions, so blocks are split at
 /// epoch boundaries and the decayed state is bit-identical at any thread /
-/// shard / block-size configuration. Exactness of subsequent additions
-/// holds while each counter's integer span plus accumulated shift stays
-/// within the 53-bit significand — comfortably true for every supported
-/// stream size at the capped decay_log2 (spec validation caps it at 32).
+/// shard / block-size configuration. The hosted sketch must keep double
+/// slots (the Decay* estimators; integer-slot ones refuse Rescale), and
+/// exactness of subsequent additions holds while each counter's integer
+/// span plus accumulated shift stays within the 53-bit significand —
+/// comfortably true for every supported stream size at the capped
+/// decay_log2 (spec validation caps it at 32).
 class DecayAlgorithm : public TurnstileStreamAlgorithm {
  public:
   DecayAlgorithm(std::unique_ptr<TurnstileStreamAlgorithm> inner,

@@ -30,6 +30,7 @@
 #include "gen/generators.h"
 #include "gtest/gtest.h"
 #include "hash/rng.h"
+#include "sketch/signed_slots.h"
 #include "stream/checkpoint.h"
 #include "stream/order.h"
 #include "util/crc32.h"
@@ -131,17 +132,22 @@ Fixture MakeFixture(const std::string& dir) {
   return fx;
 }
 
-std::string SaveBytes(const EdgeQuery& q) {
+std::string SaveBytes(const EdgeStreamAlgorithm& alg) {
   StateWriter w;
-  EXPECT_TRUE(q.algorithm->SaveState(w));
+  EXPECT_TRUE(alg.SaveState(w));
   return w.Take();
 }
 
+std::string SaveBytes(const EdgeQuery& q) { return SaveBytes(*q.algorithm); }
+
 // Offsets inside an arb-f2 SaveState blob: u32 n, size copies, i64 groups,
-// double epsilon, u64 seed, double f1_correction, then Vec A, B, C.
+// double epsilon, u64 seed, double f1_correction, u64 updates (the step
+// count that bounds every slot), then Vec A, B, C of int32 slots.
 constexpr std::size_t kConfigOffsets[] = {0, 4, 12, 20, 28, 36};
 constexpr int kConfigWidths[] = {4, 8, 8, 8, 8, 8};
-constexpr std::size_t kFirstVecOffset = 44;
+constexpr std::size_t kUpdatesOffset = 44;
+constexpr std::size_t kFirstVecOffset = 52;
+constexpr std::size_t kSlotSize = sizeof(std::int32_t);
 
 // Query-state frame payload: Str(name) Str(blob).
 std::size_t BlobOffset(const std::string& payload) {
@@ -189,7 +195,7 @@ std::string Mutate(std::vector<Frame>& frames, Rng& rng) {
     }
     return nullptr;
   };
-  switch (rng.Next() % 12) {
+  switch (rng.Next() % 13) {
     case 0: {  // Header query count (last field of the header payload).
       if (frames[0].payload.size() < 8) return "noop";
       std::string& p = frames[0].payload;
@@ -258,7 +264,8 @@ std::string Mutate(std::vector<Frame>& frames, Rng& rng) {
       std::size_t at = blob + kFirstVecOffset;
       for (std::uint64_t v = rng.Next() % 3; v > 0; --v) {
         if (at + 8 > q->payload.size()) return "noop";
-        at += 8 + 8 * static_cast<std::size_t>(GetLE(q->payload, at, 8));
+        at += 8 + kSlotSize *
+                      static_cast<std::size_t>(GetLE(q->payload, at, 8));
       }
       if (at + 8 > q->payload.size()) return "noop";
       SetLE(&q->payload, at, MutateCount(GetLE(q->payload, at, 8), rng), 8);
@@ -276,6 +283,18 @@ std::string Mutate(std::vector<Frame>& frames, Rng& rng) {
       }
       SetLE(&q->payload, blob - 8, q->payload.size() - blob, 8);
       return "blob resized";
+    }
+    case 11: {  // The step count: past int32, below the largest slot, or
+               // any count MutateCount picks.
+      Frame* q = query_frame();
+      if (q == nullptr) return "noop";
+      const std::size_t at = BlobOffset(q->payload) + kUpdatesOffset;
+      if (at + 8 > q->payload.size()) return "noop";
+      const std::uint64_t v = GetLE(q->payload, at, 8);
+      const std::uint64_t forged =
+          rng.Next() % 2 == 0 ? rng.Next() % 8 : MutateCount(v, rng);
+      SetLE(&q->payload, at, forged, 8);
+      return "blob step count " + std::to_string(forged);
     }
     default: {  // Any byte of any payload, or the frame type.
       if (f.payload.empty() || rng.Next() % 4 == 0) {
@@ -411,6 +430,84 @@ TEST(ShardStateFuzzTest, MutatedFilesAreRejectedOrRoundTrip) {
   EXPECT_GT(accepted, 0);
   EXPECT_GT(merges_rejected, 0);
   std::filesystem::remove_all(dir);
+}
+
+// A small arb-f2 counter and its SaveState blob, for the step-count cases.
+struct StepFixture {
+  EdgeList graph;
+  ArbF2Params params;
+  std::string blob;
+};
+
+StepFixture MakeStepFixture() {
+  StepFixture fx;
+  Rng gen(71);
+  fx.graph = ErdosRenyiGnm(40, 150, gen);
+  fx.params.base.epsilon = 0.9;
+  fx.params.base.seed = 500;
+  fx.params.num_vertices = fx.graph.num_vertices();
+  ArbF2FourCycleCounter counter(fx.params);
+  for (const Edge& e : fx.graph.edges()) counter.Insert(e);
+  fx.blob = SaveBytes(counter);
+  return fx;
+}
+
+// A slot beyond its blob's step count cannot come from a counter, so
+// MergeState and RestoreState reject it and leave the target as it was,
+// also when the bad slot is the very last one and MergeState has already
+// added the first two arrays.
+TEST(ShardStateFuzzTest, SlotBeyondStepCountIsRejected) {
+  const StepFixture fx = MakeStepFixture();
+  ArbF2FourCycleCounter target(fx.params);
+  StateReader base(fx.blob);
+  ASSERT_TRUE(target.RestoreState(base));
+  const std::string before = SaveBytes(target);
+  const std::uint64_t steps = GetLE(fx.blob, kUpdatesOffset, 8);
+  ASSERT_EQ(steps, fx.graph.num_edges());
+
+  std::string forged = fx.blob;
+  SetLE(&forged, forged.size() - kSlotSize, steps + 1, 4);
+  StateReader merge(forged);
+  EXPECT_FALSE(target.MergeState(merge));
+  StateReader restore(forged);
+  EXPECT_FALSE(target.RestoreState(restore));
+  EXPECT_EQ(SaveBytes(target), before);
+
+  forged = fx.blob;
+  SetLE(&forged, kUpdatesOffset, 0, 8);
+  StateReader zero_steps(forged);
+  EXPECT_FALSE(target.MergeState(zero_steps));
+  EXPECT_EQ(SaveBytes(target), before);
+}
+
+// The step count bounds every slot, so it must stay within int32. A forged
+// count past 2^31-1 is a malformed blob and is rejected; one at the limit
+// is a valid state on its own, and taking any further step, by a merge or
+// by ingest, trips the CHECK instead of overflowing a slot.
+TEST(ShardStateFuzzDeathTest, ForgedStepCountTripsTheBoundCheck) {
+  const StepFixture fx = MakeStepFixture();
+  std::string forged = fx.blob;
+  ArbF2FourCycleCounter target(fx.params);
+  const std::string empty = SaveBytes(target);
+
+  SetLE(&forged, kUpdatesOffset, kMaxSlotSteps + 1, 8);
+  StateReader past_merge(forged);
+  EXPECT_FALSE(target.MergeState(past_merge));
+  StateReader past_restore(forged);
+  EXPECT_FALSE(target.RestoreState(past_restore));
+  EXPECT_EQ(SaveBytes(target), empty);
+
+  SetLE(&forged, kUpdatesOffset, kMaxSlotSteps, 8);
+  StateReader at_limit(forged);
+  ASSERT_TRUE(target.MergeState(at_limit));
+  EXPECT_DEATH(
+      {
+        StateReader again(forged);
+        target.MergeState(again);
+      },
+      "int32 slots cannot hold exactly");
+  EXPECT_DEATH(target.Insert(fx.graph.edges()[0]),
+               "int32 slots cannot hold exactly");
 }
 
 }  // namespace

@@ -689,7 +689,8 @@ TEST(MergeStateTest, TwoHalvesMergeBitIdenticalToFullRun) {
 
 // MergeState folds a SaveState blob straight from its bytes: bit-identical
 // to restoring the blob into a second instance and calling MergeFrom. And
-// RestoreState copies a blob exactly, even a -0.0 slot.
+// RestoreState copies a blob exactly: any in-bound integer slot, and on
+// the double-slot (decay) counter even a -0.0 slot.
 TEST(MergeStateTest, EqualsMergeFromAndRestoreCopiesExactly) {
   VertexId n = 0;
   const EdgeStream stream = ShardStream(&n);
@@ -706,15 +707,32 @@ TEST(MergeStateTest, EqualsMergeFromAndRestoreCopiesExactly) {
   ASSERT_TRUE(via_merge_state.algorithm->MergeState(r));
   EXPECT_EQ(SaveBytes(via_merge_state), SaveBytes(via_merge_from));
 
-  std::string negative_zero = blob;
-  const double minus_zero = -0.0;
-  const std::size_t first_a_slot = 44 + 8;  // Config fields, Vec A size.
-  std::memcpy(negative_zero.data() + first_a_slot, &minus_zero,
-              sizeof(double));
+  // Config fields (44 bytes), the step count, then Vec A's size.
+  constexpr std::size_t kFirstASlot = 44 + 8 + 8;
+  std::string edited = blob;
+  const std::int32_t minus_one = -1;
+  std::memcpy(edited.data() + kFirstASlot, &minus_one, sizeof(minus_one));
   EdgeQuery restored = MakeEdgeQuery(spec);
+  StateReader r_edit(edited);
+  ASSERT_TRUE(restored.algorithm->RestoreState(r_edit));
+  EXPECT_EQ(SaveBytes(restored), edited);
+
+  ArbF2Params params;
+  params.base = spec.base;
+  params.num_vertices = spec.num_vertices;
+  DecayArbF2FourCycleCounter decay_hi(params);
+  for (std::size_t i = half; i < stream.size(); ++i) decay_hi.Insert(stream[i]);
+  StateWriter w;
+  ASSERT_TRUE(decay_hi.SaveState(w));
+  std::string negative_zero = w.Take();
+  const double minus_zero = -0.0;
+  std::memcpy(negative_zero.data() + 44 + 8, &minus_zero, sizeof(double));
+  DecayArbF2FourCycleCounter decay_restored(params);
   StateReader r_nz(negative_zero);
-  ASSERT_TRUE(restored.algorithm->RestoreState(r_nz));
-  EXPECT_EQ(SaveBytes(restored), negative_zero);
+  ASSERT_TRUE(decay_restored.RestoreState(r_nz));
+  StateWriter w_nz;
+  ASSERT_TRUE(decay_restored.SaveState(w_nz));
+  EXPECT_EQ(w_nz.str(), negative_zero);
 }
 
 TEST(MergeStateTest, RejectsMismatchedConfigsAndForeignKinds) {

@@ -5,12 +5,13 @@
 # run, (b) a 4-worker run whose workers are crash-injected (exit 86) and
 # hang-injected (watchdog SIGKILL + retry), (c) a SIGTERM-drained run
 # finished later with --resume, and (d) a SIGKILLed (crashed) daemon
-# recovered with --resume. Also checks the failure floor: retry exhaustion
-# poisons the wave and reports `poisoned` outcomes while the daemon itself
-# exits cleanly. The in-process variants (every wave frontier, backoff
-# determinism, manifest codec damage) live in tests/supervisor_test.cc;
-# this script proves the real fork/exec + signal path and the CLI flag
-# wiring.
+# recovered with --resume. A completed batch keeps no epoch checkpoints,
+# and resuming it gives the same manifest again. Also checks the failure
+# floor: retry exhaustion poisons the wave and reports `poisoned` outcomes
+# while the daemon itself exits cleanly. The in-process variants (every
+# wave frontier, backoff determinism, manifest codec damage) live in
+# tests/supervisor_test.cc; this script proves the real fork/exec + signal
+# path and the CLI flag wiring.
 #
 # Usage: daemon_smoke.sh CYCLESTREAM_CLI EDGE2BIN WORK_DIR
 # (ctest runs it as `daemon_smoke`, label `smoke`). WORK_DIR is removed
@@ -48,6 +49,21 @@ common=(serve --daemon --graph "$work/graph.bin" --order file
 "$cli" "${common[@]}" --shards 1 \
   --shard-dir "$work/sdg" --json_det_out det_golden.json
 
+# A completed batch keeps each wave's final states, which a resume
+# re-collects, but no epoch checkpoint: every daemon.manifest write
+# deletes those of the waves folded before it.
+no_checkpoints_left() {
+  if compgen -G "$1/*.ckpt" > /dev/null; then
+    echo "$1: checkpoints left behind:"; ls "$1"; exit 1
+  fi
+}
+no_checkpoints_left sdg
+compgen -G "sdg/*.state" > /dev/null
+"$cli" "${common[@]}" --shards 1 --shard-dir "$work/sdg" \
+  --resume --json_det_out det_golden_resumed.json
+cmp det_golden.json det_golden_resumed.json
+no_checkpoints_left sdg
+
 # Crash + hang injection recovered, manifest identical.
 "$cli" "${common[@]}" --shards 4 --shard-dir "$work/sdf" \
   --kill-shard 1 --kill-edges 3000 \
@@ -57,6 +73,7 @@ grep -q "fault-injection kill sentinel" faults.log
 grep -q "watchdog: worker" faults.log
 grep -Eq "daemon: [0-9]+ wave\(s\) completed, [1-9][0-9]* retr" faults.log
 cmp det_golden.json det_faults.json
+no_checkpoints_left sdf
 
 # SIGTERM drain mid-wave exits 3, --resume finishes identically.
 "$cli" "${common[@]}" --shards 2 --shard-dir "$work/sdd" \
@@ -72,6 +89,7 @@ test -f sdd/daemon.manifest
 "$cli" "${common[@]}" --shards 2 --shard-dir "$work/sdd" \
   --resume --json_det_out det_drained.json
 cmp det_golden.json det_drained.json
+no_checkpoints_left sdd
 
 # SIGKILL crash mid-wave, --resume finishes identically.
 "$cli" "${common[@]}" --shards 2 --shard-dir "$work/sdc" \
@@ -89,6 +107,7 @@ test -f sdc/daemon.manifest
 "$cli" "${common[@]}" --shards 2 --shard-dir "$work/sdc" \
   --resume --json_det_out det_crashed.json
 cmp det_golden.json det_crashed.json
+no_checkpoints_left sdc
 
 # Retry exhaustion poisons the wave, daemon survives.
 "$cli" "${common[@]}" --shards 2 --shard-dir "$work/sdp" \

@@ -360,11 +360,18 @@ TEST(TurnstileBlockTest, BlockDeliveryMatchesPerUpdateAtAnyBlockSize) {
   ExpectBlockDeliveryMatchesPerUpdate<TurnstileF2FourCycleCounter>(cp, stream);
 }
 
+template <typename Counter, typename Params>
+TurnstileAlgorithmFactory FactoryOf(const Params& p) {
+  return [p] { return std::make_unique<Counter>(p); };
+}
+
+// Decay needs the double-slot counter (its rescale leaves the integers).
+template <typename Counter = TurnstileF2TriangleCounter>
 TurnstileAlgorithmFactory TriangleFactory(VertexId n, std::uint64_t seed) {
-  TurnstileF2TriangleCounter::Params p;
+  TurnstileF2TriangleParams p;
   p.base = TestBase(seed);
   p.num_vertices = n;
-  return [p] { return std::make_unique<TurnstileF2TriangleCounter>(p); };
+  return FactoryOf<Counter>(p);
 }
 
 // A window covering the whole stream (no bucket ever retired) folds back
@@ -534,7 +541,8 @@ TEST(DecayTest, MatchesEpochBoundaryOracle) {
   const std::uint64_t kEpoch = 64;
   const std::uint32_t kLog2 = 3;
 
-  auto factory = TriangleFactory(graph.num_vertices(), 81);
+  auto factory =
+      TriangleFactory<DecayTurnstileF2TriangleCounter>(graph.num_vertices(), 81);
   DecayAlgorithm decayed(factory(), kEpoch, kLog2);
   RunTurnstileStream(decayed, stream);
 
@@ -556,7 +564,8 @@ TEST(DecayTest, BlockSizeInvariance) {
   const EdgeList graph = ErdosRenyiGnm(40, 200, gen_rng);
   const TurnstileStream stream = TurnstileFromEdges(graph.edges());
 
-  auto factory = TriangleFactory(graph.num_vertices(), 91);
+  auto factory =
+      TriangleFactory<DecayTurnstileF2TriangleCounter>(graph.num_vertices(), 91);
   double reference = 0.0;
   bool have_reference = false;
   for (std::size_t block : {1, 5, 63, 64, 65, 512}) {
@@ -575,6 +584,212 @@ TEST(DecayTest, BlockSizeInvariance) {
       EXPECT_EQ(decayed.Result().value, reference) << "block=" << block;
     }
   }
+}
+
+// --- Integer slots against the double-slot oracle ------------------------
+
+// A random insert/delete stream: the edges of a random graph inserted in
+// shuffled order, each followed with probability 0.3 by the delete of a
+// uniformly random live edge.
+TurnstileStream RandomChurn(VertexId n, std::size_t m, std::uint64_t seed) {
+  Rng rng(seed);
+  EdgeStream edges = ErdosRenyiGnm(n, m, rng).edges();
+  rng.Shuffle(edges);
+  TurnstileStream stream;
+  std::vector<Edge> live;
+  for (const Edge& e : edges) {
+    stream.emplace_back(e, TurnstileOp::kInsert);
+    live.push_back(e);
+    if (rng.Bernoulli(0.3)) {
+      const auto i = static_cast<std::size_t>(rng.UniformInt(live.size()));
+      std::swap(live[i], live.back());
+      stream.emplace_back(live.back(), TurnstileOp::kDelete);
+      live.pop_back();
+    }
+  }
+  return stream;
+}
+
+// Positions [begin, end) of `stream` through a fresh `Counter`.
+template <typename Counter, typename Params>
+std::unique_ptr<Counter> RunSlice(const Params& p,
+                                  const TurnstileStream& stream,
+                                  std::size_t begin, std::size_t end) {
+  auto counter = std::make_unique<Counter>(p);
+  counter->StartPass(0, stream.size());
+  counter->ProcessUpdateBlock(
+      0, std::span<const TurnstileUpdate>(stream.data() + begin, end - begin),
+      begin);
+  counter->EndPass(0);
+  return counter;
+}
+
+// The stream cut into `shards` contiguous slices, each run through a fresh
+// `Counter` and folded in order into an empty one, as the shard
+// coordinator and the window fold do.
+template <typename Counter, typename Params>
+Estimate ShardedResult(const Params& p, const TurnstileStream& stream,
+                       std::size_t shards) {
+  Counter merged(p);
+  for (std::size_t w = 0; w < shards; ++w) {
+    const auto slice = RunSlice<Counter>(p, stream, stream.size() * w / shards,
+                                         stream.size() * (w + 1) / shards);
+    EXPECT_TRUE(merged.MergeFrom(*slice));
+  }
+  return merged.Result();
+}
+
+// The double-slot counters (kept for decay) are the integer-slot counters
+// with inexact-capable arithmetic: on random insert/delete streams the two
+// give bit-identical Result()s, whole and after 1..8-way shard folds.
+TEST(IntegerSlotOracleTest, MatchesDoubleSlotsAcrossShardFolds) {
+  for (std::uint64_t seed : {5, 6, 7}) {
+    const TurnstileStream stream = RandomChurn(60, 400, seed);
+    ArbF2Params c4;
+    c4.base = TestBase(seed + 10);
+    c4.num_vertices = 60;
+    TurnstileF2TriangleParams tri;
+    tri.base = TestBase(seed + 20);
+    tri.num_vertices = 60;
+    for (std::size_t shards = 1; shards <= 8; ++shards) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(shards) + " shards");
+      const Estimate c4_exact =
+          ShardedResult<TurnstileF2FourCycleCounter>(c4, stream, shards);
+      const Estimate c4_double =
+          ShardedResult<DecayTurnstileF2FourCycleCounter>(c4, stream, shards);
+      EXPECT_EQ(c4_exact.value, c4_double.value);
+      EXPECT_EQ(c4_exact.space_words, c4_double.space_words);
+      const Estimate tri_exact =
+          ShardedResult<TurnstileF2TriangleCounter>(tri, stream, shards);
+      const Estimate tri_double =
+          ShardedResult<DecayTurnstileF2TriangleCounter>(tri, stream, shards);
+      EXPECT_EQ(tri_exact.value, tri_double.value);
+      EXPECT_EQ(tri_exact.space_words, tri_double.space_words);
+    }
+  }
+}
+
+// The stream cut into `shards` slices as ShardedResult does, but each slice
+// travels as a SaveState blob folded by MergeState: the shard coordinator's
+// path, on arb-f2 fed inserts and deletes.
+template <typename Counter>
+Estimate BlobMergedResult(const ArbF2Params& p, const TurnstileStream& stream,
+                          std::size_t shards) {
+  Counter merged(p);
+  for (std::size_t w = 0; w < shards; ++w) {
+    Counter slice(p);
+    for (std::size_t i = stream.size() * w / shards;
+         i < stream.size() * (w + 1) / shards; ++i) {
+      if (stream[i].op == TurnstileOp::kInsert) {
+        slice.Insert(stream[i].edge);
+      } else {
+        slice.Delete(stream[i].edge);
+      }
+    }
+    StateWriter blob;
+    EXPECT_TRUE(slice.SaveState(blob));
+    StateReader r(blob.str());
+    EXPECT_TRUE(merged.MergeState(r));
+  }
+  return merged.Result();
+}
+
+TEST(IntegerSlotOracleTest, BlobMergesMatchDoubleSlots) {
+  const TurnstileStream stream = RandomChurn(60, 400, 11);
+  ArbF2Params p;
+  p.base = TestBase(12);
+  p.num_vertices = 60;
+  for (std::size_t shards = 1; shards <= 8; ++shards) {
+    EXPECT_EQ(BlobMergedResult<ArbF2FourCycleCounter>(p, stream, shards).value,
+              BlobMergedResult<DecayArbF2FourCycleCounter>(p, stream, shards)
+                  .value)
+        << shards << " shards";
+  }
+}
+
+// Window estimates fold bucket-local sketches; the integer folds agree with
+// the double-slot oracle at every bucket boundary and in between.
+TEST(IntegerSlotOracleTest, WindowFoldsMatchDoubleSlots) {
+  const TurnstileStream stream = RandomChurn(60, 400, 13);
+  ArbF2Params c4;
+  c4.base = TestBase(14);
+  c4.num_vertices = 60;
+  TurnstileF2TriangleParams tri;
+  tri.base = TestBase(15);
+  tri.num_vertices = 60;
+  const TurnstileAlgorithmFactory factories[][2] = {
+      {FactoryOf<TurnstileF2FourCycleCounter>(c4),
+       FactoryOf<DecayTurnstileF2FourCycleCounter>(c4)},
+      {FactoryOf<TurnstileF2TriangleCounter>(tri),
+       FactoryOf<DecayTurnstileF2TriangleCounter>(tri)}};
+  for (const auto& pair : factories) {
+    SlidingWindowAlgorithm exact(pair[0], pair[0]()->CheckpointId(), 120, 4);
+    SlidingWindowAlgorithm oracle(pair[1], pair[1]()->CheckpointId(), 120, 4);
+    exact.StartPass(0, stream.size());
+    oracle.StartPass(0, stream.size());
+    for (std::size_t pos = 0; pos < stream.size(); ++pos) {
+      exact.ProcessUpdate(0, stream[pos], pos);
+      oracle.ProcessUpdate(0, stream[pos], pos);
+      if (pos % 17 == 0 || pos + 1 == stream.size()) {
+        ASSERT_EQ(exact.Result().value, oracle.Result().value)
+            << exact.CheckpointId() << " at " << pos;
+      }
+    }
+  }
+}
+
+// Integer and double slots have different layouts, so each rejects the
+// other's snapshots by checkpoint id ("/2" vs "/1") and starts over.
+TEST(IntegerSlotOracleTest, RejectsDoubleSlotSnapshotsByName) {
+  const TurnstileStream stream = RandomChurn(40, 200, 17);
+  TurnstileF2TriangleParams tri;
+  tri.base = TestBase(18);
+  tri.num_vertices = 40;
+  ArbF2Params c4;
+  c4.base = TestBase(19);
+  c4.num_vertices = 40;
+  const auto check = [&](TurnstileStreamAlgorithm& old_layout,
+                         TurnstileStreamAlgorithm& golden,
+                         TurnstileStreamAlgorithm& resumed) {
+    const std::string dir = MakeTempDir(
+        "slot_ids_" + std::string(old_layout.CheckpointId()).substr(0, 12));
+    CheckpointPolicy policy;
+    policy.directory = dir;
+    policy.every_elements = 16;
+    FaultPlan faults;
+    faults.KillAfterElements(stream.size() / 2);
+    RunOptions kill_options;
+    kill_options.checkpoint = &policy;
+    kill_options.faults = &faults;
+    const RunOutcome killed =
+        RunTurnstileStream(old_layout, stream, kill_options);
+    ASSERT_FALSE(killed.completed);
+    RunTurnstileStream(golden, stream);
+    RunOptions options;
+    options.resume_from = killed.checkpoint_path;
+    ::testing::internal::CaptureStderr();
+    const RunOutcome outcome = RunTurnstileStream(resumed, stream, options);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(outcome.resume_rejected);
+    EXPECT_FALSE(outcome.resumed);
+    EXPECT_NE(log.find("'" + std::string(old_layout.CheckpointId()) + "'"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(resumed.Result().value, golden.Result().value);
+  };
+  DecayTurnstileF2TriangleCounter old_tri(tri);
+  TurnstileF2TriangleCounter golden_tri(tri), resumed_tri(tri);
+  EXPECT_EQ(old_tri.CheckpointId(), "turnstile-tri/1");
+  EXPECT_EQ(resumed_tri.CheckpointId(), "turnstile-tri/2");
+  check(old_tri, golden_tri, resumed_tri);
+  DecayTurnstileF2FourCycleCounter old_c4(c4);
+  TurnstileF2FourCycleCounter golden_c4(c4), resumed_c4(c4);
+  EXPECT_EQ(old_c4.CheckpointId(), "turnstile-c4/1");
+  EXPECT_EQ(resumed_c4.CheckpointId(), "turnstile-c4/2");
+  check(old_c4, golden_c4, resumed_c4);
+  EXPECT_EQ(DecayArbF2FourCycleCounter(c4).CheckpointId(), "arbf2/1");
+  EXPECT_EQ(ArbF2FourCycleCounter(c4).CheckpointId(), "arbf2/2");
 }
 
 // The broker's turnstile path must be bit-identical to standalone runs and
