@@ -46,14 +46,10 @@ AdjF2FourCycleCounter::AdjF2FourCycleCounter(const Params& params)
     beta_seeds[i] = SplitMix64(seed);
     alpha_seeds[i] = SplitMix64(seed);
   }
-  const KWiseHashBank alpha_bank(/*k=*/4, alpha_seeds);
-  const KWiseHashBank beta_bank(/*k=*/4, beta_seeds);
   alpha_.resize(nv * c);
   beta_.resize(nv * c);
-  for (std::size_t v = 0; v < nv; ++v) {
-    alpha_bank.SignAll(v, alpha_.data() + v * c);
-    beta_bank.SignAll(v, beta_.data() + v * c);
-  }
+  KWiseHashBank(/*k=*/4, alpha_seeds).SignTable(nv, alpha_.data());
+  KWiseHashBank(/*k=*/4, beta_seeds).SignTable(nv, beta_.data());
   acc_a_.assign(c, 0.0);
   acc_b_.assign(c, 0.0);
   acc_c_.assign(c, 0.0);

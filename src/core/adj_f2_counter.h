@@ -89,8 +89,9 @@ class AdjF2FourCycleCounter : public AdjacencyStreamAlgorithm {
   double pair_rate_ = 1.0;
 
   std::size_t num_copies_ = 0;
-  // 4-wise ±1 sign caches, copy-minor (alpha_[v·C + c]), evaluated once per
-  // vertex at construction through a KWiseHashBank (see
+  // 4-wise ±1 sign caches, copy-minor (alpha_[v·C + c]), filled at
+  // construction by KWiseHashBank::SignTable: forward differences over the
+  // vertex universe, three modular adds per entry (see
   // ArbF2FourCycleCounter for the space-accounting rationale).
   std::vector<signed char> alpha_;
   std::vector<signed char> beta_;

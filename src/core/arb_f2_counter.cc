@@ -30,11 +30,18 @@ BasicArbF2FourCycleCounter<Slot>::BasicArbF2FourCycleCounter(
   params_.copies_per_group = per_group;
   params_.groups = groups;
 
-  std::uint64_t seed = params.base.seed ^ 0x41524246ULL;  // "ARBF"
   num_copies_ = static_cast<std::size_t>(groups * per_group);
-  const std::size_t c = num_copies_;
   const std::size_t n = params.num_vertices;
+  acc_a_.assign(n * num_copies_, Slot{0});
+  acc_b_.assign(n * num_copies_, Slot{0});
+  acc_c_.assign(n * num_copies_, Slot{0});
+}
 
+template <typename Slot>
+void BasicArbF2FourCycleCounter<Slot>::BuildSignTables() {
+  std::uint64_t seed = params_.base.seed ^ 0x41524246ULL;  // "ARBF"
+  const std::size_t c = num_copies_;
+  const std::size_t n = params_.num_vertices;
   // Seed chain: the historical code drew both seeds inside an emplace_back
   // argument list, which gcc evaluates right-to-left — the beta seed came
   // off the splitmix chain first. Preserved verbatim so the sign streams
@@ -45,22 +52,16 @@ BasicArbF2FourCycleCounter<Slot>::BasicArbF2FourCycleCounter(
     beta_seeds[i] = SplitMix64(seed);
     alpha_seeds[i] = SplitMix64(seed);
   }
-  const KWiseHashBank alpha_bank(/*k=*/4, alpha_seeds);
-  const KWiseHashBank beta_bank(/*k=*/4, beta_seeds);
   alpha_.resize(n * c);
   beta_.resize(n * c);
-  for (std::size_t v = 0; v < n; ++v) {
-    alpha_bank.SignAll(v, alpha_.data() + v * c);
-    beta_bank.SignAll(v, beta_.data() + v * c);
-  }
-  acc_a_.assign(n * c, Slot{0});
-  acc_b_.assign(n * c, Slot{0});
-  acc_c_.assign(n * c, Slot{0});
+  KWiseHashBank(/*k=*/4, alpha_seeds).SignTable(n, alpha_.data());
+  KWiseHashBank(/*k=*/4, beta_seeds).SignTable(n, beta_.data());
 }
 
 template <typename Slot>
 template <int kSign>
 void BasicArbF2FourCycleCounter<Slot>::Apply(const Edge& e) {
+  if (alpha_.empty()) BuildSignTables();
   if constexpr (kIntegerSlots) {
     // A self-loop steps each slot of its one row twice.
     updates_ = AddSlotSteps(updates_, e.u == e.v ? 2 : 1);

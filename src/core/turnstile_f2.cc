@@ -90,24 +90,25 @@ BasicTurnstileF2TriangleCounter<Slot>::BasicTurnstileF2TriangleCounter(
   params_.copies_per_group = per_group;
   params_.groups = groups;
 
-  std::uint64_t seed = params.base.seed ^ 0x54524933ULL;  // "TRI3"
   num_copies_ = static_cast<std::size_t>(groups * per_group);
-  const std::size_t c = num_copies_;
-  const std::size_t n = params.num_vertices;
+  z_.assign(num_copies_, Slot{0});
+}
 
+template <typename Slot>
+void BasicTurnstileF2TriangleCounter<Slot>::BuildSignTable() {
+  std::uint64_t seed = params_.base.seed ^ 0x54524933ULL;  // "TRI3"
+  const std::size_t c = num_copies_;
+  const std::size_t n = params_.num_vertices;
   std::vector<std::uint64_t> seeds(c);
   for (std::size_t i = 0; i < c; ++i) seeds[i] = SplitMix64(seed);
-  const KWiseHashBank bank(/*k=*/6, seeds);
   sigma_.resize(n * c);
-  for (std::size_t v = 0; v < n; ++v) {
-    bank.SignAll(v, sigma_.data() + v * c);
-  }
-  z_.assign(c, Slot{0});
+  KWiseHashBank(/*k=*/6, seeds).SignTable(n, sigma_.data());
 }
 
 template <typename Slot>
 template <int kSign>
 void BasicTurnstileF2TriangleCounter<Slot>::Apply(const Edge& e) {
+  if (sigma_.empty()) BuildSignTable();
   if constexpr (kIntegerSlots) updates_ = AddSlotSteps(updates_, 1);
   const std::size_t c = num_copies_;
   const signed char* su = sigma_.data() + static_cast<std::size_t>(e.u) * c;

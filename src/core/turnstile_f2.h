@@ -107,10 +107,15 @@ class BasicTurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
  private:
   template <int kSign>
   void Apply(const Edge& e);
+  /// Fills sigma_ from the seed chain of params_.base.seed.
+  void BuildSignTable();
 
   Params params_;
   std::size_t num_copies_ = 0;
-  // ±1 sign cache, copy-minor: sigma_[v·C + c] for vertex v, copy c.
+  // ±1 sign cache, copy-minor: sigma_[v·C + c] for vertex v, copy c. Built
+  // on the first update by KWiseHashBank::SignTable (forward differences,
+  // five modular adds per entry), so a window's fold instance never holds
+  // one.
   std::vector<signed char> sigma_;
   // Per-copy counters Z_c; each |Z_c| ≤ updates_ (integer slots only).
   std::vector<Slot> z_;

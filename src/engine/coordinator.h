@@ -138,6 +138,8 @@ bool CollectWorkerState(const WorkerLaunch& launch,
                         MappedShardState* state);
 
 /// One fresh zero-state query per spec: the targets shard states fold into.
+/// arb-f2 builds its sign tables on its first update, so a target holds only
+/// its zeroed slots.
 std::vector<EdgeQuery> MakeMergeTargets(
     const std::vector<QuerySpec>& wave_specs);
 

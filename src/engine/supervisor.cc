@@ -1,12 +1,16 @@
 #include "engine/supervisor.h"
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -151,6 +155,34 @@ void SleepMs(std::uint64_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+// Owns a worker's pidfd (close-on-exec), which polls readable once the
+// worker exits. get() is -1 where the kernel has no pidfd_open, and after
+// Close().
+class Pidfd {
+ public:
+  Pidfd() = default;
+  explicit Pidfd(pid_t pid)
+      : fd_(static_cast<int>(syscall(SYS_pidfd_open, pid, 0))) {}
+  Pidfd(Pidfd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  Pidfd& operator=(Pidfd&& other) noexcept {
+    if (this != &other) {
+      Close();
+      fd_ = std::exchange(other.fd_, -1);
+    }
+    return *this;
+  }
+  ~Pidfd() { Close(); }
+
+  int get() const { return fd_; }
+  void Close() {
+    if (fd_ >= 0) close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
 bool FileExists(const std::string& path) {
   return access(path.c_str(), F_OK) == 0;
 }
@@ -213,7 +245,8 @@ void ReportExhausted(int wave, std::size_t worker,
              << options.retry.max_attempts << " times; poisoning the wave";
 }
 
-// Subprocess wave runner: launch workers, reap with WNOHANG, retry under
+// Subprocess wave runner: launch workers, reap with WNOHANG as soon as
+// their pidfds say they exited (or each poll tick), retry under
 // the backoff policy, enforce deadlines, honor drain. Fills `states` for
 // every worker on kCompleted; partial on kPoisoned/kDrained.
 WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
@@ -246,6 +279,7 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
 
   struct Track {
     pid_t pid = -1;
+    Pidfd pidfd;  // Closed once the worker is reaped.
     bool running = false;
     int attempts = 0;
     Clock::time_point eligible = Clock::time_point::min();
@@ -268,6 +302,7 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
     if (got == 0) return false;  // Still running (WNOHANG).
     CHECK_EQ(got, track[i].pid) << "waitpid failed for supervised worker";
     track[i].running = false;
+    track[i].pidfd.Close();
     if (watchdog) watchdog->Untrack(track[i].pid);
     CountExit(status, counters);
     const bool exited_zero = WIFEXITED(status) && WEXITSTATUS(status) == 0;
@@ -295,6 +330,27 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
     return true;
   };
 
+  // Blocks until a running worker exits or one poll tick passes, so the
+  // deadline and drain checks keep their cadence; `only` < w narrows the
+  // wait to one worker. Without a pidfd to wait on (none running, or no
+  // kernel support) it is the plain sleep of one tick. EINTR counts as a
+  // wake-up.
+  auto wait_for_exit = [&](std::size_t only) {
+    std::vector<pollfd> fds;
+    for (std::size_t i = 0; i < w; ++i) {
+      if (track[i].running && track[i].pidfd.get() >= 0 &&
+          (only == w || only == i)) {
+        fds.push_back(pollfd{track[i].pidfd.get(), POLLIN, 0});
+      }
+    }
+    if (fds.empty()) {
+      SleepMs(poll_ms);
+      return;
+    }
+    poll(fds.data(), fds.size(),
+         static_cast<int>(std::min<std::uint64_t>(poll_ms, INT_MAX)));
+  };
+
   auto kill_running = [&](int signum) {
     for (std::size_t i = 0; i < w; ++i) {
       if (track[i].running) kill(track[i].pid, signum);
@@ -315,7 +371,7 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
       kill_running(SIGTERM);
       for (std::size_t i = 0; i < w; ++i) {
         while (track[i].running) {
-          if (!reap_one(i, WNOHANG)) SleepMs(poll_ms);
+          if (!reap_one(i, WNOHANG)) wait_for_exit(i);
         }
       }
       if (watchdog) counters->deadline_kills += watchdog->kills();
@@ -334,6 +390,7 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
       PrepareAttempt(launches[i], is_retry, batch_resume);
       track[i].pid = SpawnShardWorker(BuildWorkerArgv(
           binary, options.plan.stream_path, spec_path, launches[i]));
+      track[i].pidfd = Pidfd(track[i].pid);
       track[i].running = true;
       ++track[i].attempts;
       ++counters->workers_launched;
@@ -383,7 +440,7 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
       round_start = Clock::now();
     }
 
-    if (!reaped) SleepMs(poll_ms);
+    if (!reaped) wait_for_exit(w);
   }
 }
 

@@ -77,7 +77,8 @@ struct DeadlinePolicy {
   /// Kill every still-running worker when one wave round outlives this
   /// (the timer restarts after each kill round). 0 disables.
   std::uint64_t wave_deadline_ms = 0;
-  /// Watchdog / reap-loop polling cadence.
+  /// Watchdog cadence, and the longest the reap loop waits between its
+  /// deadline and drain checks; it reaps a worker as soon as it exits.
   std::uint64_t poll_interval_ms = 20;
 };
 

@@ -54,29 +54,47 @@ void KWiseHashBank::EvalAll(std::uint64_t x, std::uint64_t* out) const {
   for (std::size_t i = 0; i < n; ++i) out[i] = CanonicalizeMod61(out[i]);
 }
 
-void KWiseHashBank::SignAll(std::uint64_t x, signed char* out) const {
-  const std::uint64_t xm = ReduceMod61(x);
+void KWiseHashBank::SignTable(std::size_t num_keys, signed char* out) const {
+  if (num_keys == 0 || n_ == 0) return;
+  // The keys are their own residues only below p.
+  CHECK_LE(num_keys, kPrime);
   const std::size_t n = n_;
-  // Same recurrence as EvalAll but with a small fixed-size tile of
-  // accumulators so no heap scratch is needed.
-  constexpr std::size_t kTile = 64;
-  std::uint64_t acc[kTile];
-  for (std::size_t base = 0; base < n; base += kTile) {
-    const std::size_t len = std::min(kTile, n - base);
-    const std::uint64_t* top =
-        coeffs_.data() + static_cast<std::size_t>(k_ - 1) * n + base;
-    for (std::size_t i = 0; i < len; ++i) acc[i] = top[i];
-    for (int j = k_ - 2; j >= 0; --j) {
-      const std::uint64_t* row =
-          coeffs_.data() + static_cast<std::size_t>(j) * n + base;
-      for (std::size_t i = 0; i < len; ++i) {
-        acc[i] = HornerStepLazy61(acc[i], xm, row[i]);
+  const std::size_t k = static_cast<std::size_t>(k_);
+  // diff[j·n + i] = Δ^j h_i(x) for the current key x, copy-minor like
+  // coeffs_ so each step is k−1 contiguous n-length sweeps. Seeded at x = 0
+  // from h_i(0..k−1), turned into differences in place.
+  std::vector<std::uint64_t> diff(k * n);
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < n; ++i) diff[j * n + i] = Eval(i, j);
+  }
+  for (std::size_t m = 1; m < k; ++m) {
+    for (std::size_t j = k - 1; j >= m; --j) {
+      for (std::size_t i = 0; i < n; ++i) {
+        diff[j * n + i] =
+            SubMod61(diff[j * n + i], diff[(j - 1) * n + i]);
       }
     }
-    for (std::size_t i = 0; i < len; ++i) {
-      // Parity needs the canonical value: p is odd, so a lazy representative
-      // off by a multiple of p has flipped low bit.
-      out[base + i] = (CanonicalizeMod61(acc[i]) & 1ULL) ? 1 : -1;
+  }
+  for (std::size_t x = 0;; ++x) {
+    // Parity of the canonical residue: p is odd, so only the canonical
+    // representative carries Horner's bit. Every entry stays in [0, p).
+    const std::uint64_t* h = diff.data();
+    signed char* row = out + x * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      row[i] = static_cast<signed char>(2 * static_cast<int>(h[i] & 1) - 1);
+    }
+    if (x + 1 == num_keys) break;
+    // Δ^j h(x+1) = Δ^j h(x) + Δ^{j+1} h(x): ascending j reads each
+    // Δ^{j+1} before it steps.
+    for (std::size_t j = 0; j + 1 < k; ++j) {
+      std::uint64_t* lo = diff.data() + j * n;
+      const std::uint64_t* hi = lo + n;
+      for (std::size_t i = 0; i < n; ++i) {
+        // AddMod61 without the branch, so the sweep vectorizes: a + b − p
+        // lies in (−p, p), and its sign bit says whether to add p back.
+        const std::uint64_t t = lo[i] + hi[i] - kPrime;
+        lo[i] = t + (kPrime & (0 - (t >> 63)));
+      }
     }
   }
 }

@@ -49,9 +49,16 @@ class KWiseHashBank {
   /// out[i] = h_i(x) ∈ [0, p) for all i. `out` must hold size() entries.
   void EvalAll(std::uint64_t x, std::uint64_t* out) const;
 
-  /// out[i] = ±1 from the low bit of h_i(x) (odd → +1), matching
-  /// KWiseHash::Sign.
-  void SignAll(std::uint64_t x, signed char* out) const;
+  /// out[x·size() + i] = sign_i(x) for the keys x = 0..num_keys−1: ±1 from
+  /// the low bit of h_i(x) (odd → +1), matching KWiseHash::Sign. `out` must
+  /// hold num_keys · size() entries.
+  ///
+  /// Runs by forward differences: h_i has degree k−1 over GF(p), so its
+  /// (k−1)-th difference is constant. Each copy's difference table is
+  /// seeded from h_i(0..k−1) by Eval, and every step x → x+1 is k−1
+  /// modular adds per copy, with no multiply. The residues stay canonical,
+  /// so each sign is the bit Horner's evaluation gives.
+  void SignTable(std::size_t num_keys, signed char* out) const;
 
   /// out[i] = h_i(x) / p ∈ [0, 1), matching KWiseHash::ToUnit.
   void ToUnitAll(std::uint64_t x, double* out) const;

@@ -29,6 +29,11 @@ inline std::uint64_t AddMod61(std::uint64_t a, std::uint64_t b) {
   return sum;
 }
 
+/// a − b mod p. Requires a, b < p.
+inline std::uint64_t SubMod61(std::uint64_t a, std::uint64_t b) {
+  return a >= b ? a - b : a + kMersennePrime61 - b;
+}
+
 /// Canonical residue of an arbitrary 64-bit value: x = hi·2^61 + lo with
 /// 2^61 ≡ 1 folds to hi + lo < 2p, so one conditional subtract finishes.
 /// Equals x % p for every x, without the division.

@@ -66,21 +66,30 @@ TEST(KWiseHashBankTest, EvalAllBitIdenticalToScalar) {
   }
 }
 
-TEST(KWiseHashBankTest, SignAllBitIdenticalToScalar) {
-  const auto keys = ProbeKeys();
-  for (int k : {2, 4}) {
-    for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{128}}) {
+TEST(KWiseHashBankTest, SignTableBitIdenticalToScalar) {
+  // Every entry of the forward-difference table against the scalar Horner
+  // sign, including tables shorter than the k seed rows.
+  for (int k : {2, 4, 6, 8}) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{128},
+                          std::size_t{450}}) {
       const auto seeds = MakeSeeds(n, 0x5151ULL + 31 * k + n);
       const KWiseHashBank bank(k, seeds);
       std::vector<KWiseHash> scalar;
       for (std::size_t i = 0; i < n; ++i) scalar.emplace_back(k, seeds[i]);
 
-      std::vector<signed char> signs(n);
-      for (std::uint64_t x : keys) {
-        bank.SignAll(x, signs.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(static_cast<int>(signs[i]), scalar[i].Sign(x))
-              << "k=" << k << " n=" << n << " i=" << i << " x=" << x;
+      const auto uk = static_cast<std::size_t>(k);
+      for (std::size_t keys : {std::size_t{0}, std::size_t{1}, uk - 1, uk,
+                               std::size_t{2000}}) {
+        // One guard entry past the table catches an overrun.
+        std::vector<signed char> table(keys * n + 1, 0);
+        bank.SignTable(keys, table.data());
+        ASSERT_EQ(table[keys * n], 0) << "k=" << k << " n=" << n;
+        for (std::size_t x = 0; x < keys; ++x) {
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(static_cast<int>(table[x * n + i]), scalar[i].Sign(x))
+                << "k=" << k << " n=" << n << " keys=" << keys << " i=" << i
+                << " x=" << x;
+          }
         }
       }
     }

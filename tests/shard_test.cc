@@ -8,6 +8,7 @@
 // run leaves no state or checkpoint file behind, and a worker that fails
 // twice aborts the batch.
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include "engine/query.h"
 #include "engine/shard.h"
 #include "engine/spec.h"
+#include "engine/supervisor.h"
 #include "gen/generators.h"
 #include "graph/binary_io.h"
 #include "gtest/gtest.h"
@@ -512,6 +514,35 @@ TEST(CoordinatorTest, RelaunchSurvivesAMissingShardCheckpoint) {
   ExpectOutcomesIdentical(oracle, result.outcomes);
   ExpectStatsIdentical(broker_stats, result.stats);
   EXPECT_EQ(LeftoverStateFiles(dir), std::vector<std::string>{});
+}
+
+// The reap loop waits on the workers' pidfds, not on its poll tick: with a
+// one-minute tick a wave of real subprocess workers still completes as soon
+// as they exit, with the same outcomes as the broker.
+TEST(CoordinatorTest, SubprocessWorkersAreReapedWhenTheyExit) {
+  VertexId n = 0;
+  EdgeStream stream = ShardStream(&n);
+  stream.resize(120);
+  std::vector<QuerySpec> specs = MixedShardSpecs(n);
+  specs.resize(2);
+  for (QuerySpec& spec : specs) spec.space_budget_words = 0;
+
+  EngineStats broker_stats;
+  const std::vector<QueryOutcome> oracle =
+      BrokerOracle(specs, stream, BudgetPolicy(), &broker_stats);
+
+  SupervisorOptions options;
+  options.plan = SubprocessPlan(TestDir("reap_on_exit"), 2, stream, n);
+  options.deadline.poll_interval_ms = 60000;
+  SupervisedBatchResult result;
+  std::string error;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(RunSupervisedBatch(specs, stream, options, &result, &error))
+      << error;
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(30));
+  EXPECT_EQ(result.counters.workers_launched, 2u);
+  ExpectOutcomesIdentical(oracle, result.outcomes);
 }
 
 TEST(CoordinatorDeathTest, WorkerFailingTwiceAborts) {
